@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use pibe::experiments::Lab;
 use pibe::{eval, PibeConfig};
 use pibe_baselines::{run_llvm_inliner, LlvmInlinerConfig};
-use pibe_harden::DefenseSet;
+use pibe_harden::{Arch, DefenseSet};
 use pibe_passes::{promote_indirect_calls, run_inliner, IcpConfig, InlinerConfig, SiteWeights};
 use pibe_profile::Budget;
 use pibe_sim::SimConfig;
@@ -50,7 +50,7 @@ fn build_with_inliner(lab: &Lab, inliner: InlinerConfig) -> pibe_ir::Module {
         },
     );
     run_inliner(&mut m, &w, &lab.profile, &inliner);
-    pibe_harden::apply(&mut m, DefenseSet::ALL);
+    pibe_harden::apply(&mut m, Arch::X86.backend(), DefenseSet::ALL, 1);
     m
 }
 
@@ -116,7 +116,7 @@ fn ablation_icp_cap(c: &mut Criterion, lab: &Lab) {
                     ..InlinerConfig::default()
                 },
             );
-            pibe_harden::apply(&mut m, DefenseSet::ALL);
+            pibe_harden::apply(&mut m, Arch::X86.backend(), DefenseSet::ALL, 1);
             m
         });
         let label = cap.map_or("unlimited".to_string(), |c| c.to_string());
@@ -154,7 +154,7 @@ fn ablation_ordering(c: &mut Criterion, lab: &Lab) {
             },
         );
         run_llvm_inliner(&mut m, &w, &LlvmInlinerConfig::default());
-        pibe_harden::apply(&mut m, DefenseSet::ALL);
+        pibe_harden::apply(&mut m, Arch::X86.backend(), DefenseSet::ALL, 1);
         m
     });
     eprintln!("pibe greedy hot-first: {pibe:.2}%   llvm bottom-up: {llvm:.2}%");

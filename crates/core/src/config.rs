@@ -42,7 +42,7 @@ pub enum FailurePolicy {
     /// Record a [`StageFault`](crate::StageFault) and continue with the
     /// remaining stages. The image degrades (fewer eliminated branches) but
     /// every surviving indirect branch is still defended — only
-    /// *optimization* stages (icp, inline) are skippable; a hardening
+    /// *optimization* stages (icp, inline, dce) are skippable; a hardening
     /// failure always aborts because skipping it would weaken defenses.
     SkipStage,
 }

@@ -16,7 +16,7 @@ use crate::config::PibeConfig;
 use crate::eval;
 use crate::report::{pct, Table};
 use pibe_baselines::{run_llvm_inliner, LlvmInlinerConfig};
-use pibe_harden::DefenseSet;
+use pibe_harden::{Arch, DefenseSet};
 use pibe_kernel::measure::collect_macro_profile;
 use pibe_kernel::workloads::{MacroBench, WorkloadSpec};
 use pibe_profile::{overlap, Budget};
@@ -107,7 +107,7 @@ pub fn robustness(lab: &Lab, requests: u32) -> Result<(Table, RobustnessSummary)
         let mut module = lab.kernel.module.clone();
         let weights = pibe_passes::SiteWeights::from_profile(&lab.profile);
         run_llvm_inliner(&mut module, &weights, &LlvmInlinerConfig::default());
-        pibe_harden::apply(&mut module, DefenseSet::ALL);
+        pibe_harden::apply(&mut module, Arch::X86.backend(), DefenseSet::ALL, 1);
         let rows = eval::lmbench_latencies(
             &module,
             &lab.kernel,

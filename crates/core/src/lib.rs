@@ -18,7 +18,6 @@
 //!   paper's evaluated configurations are provided as constructors;
 //! * [`Image::builder`] is the staged entry point into the hardening phase
 //!   (`Image::builder(&base).profile(&profile).config(cfg).build()`);
-//!   [`build_image`] wraps it with the original panicking signature;
 //! * [`ImageFarm`] builds images for whole configuration sets in parallel,
 //!   memoizing each distinct configuration so it is built exactly once per
 //!   lab; [`BuildMetrics`] records per-stage wall-clock costs;
@@ -48,8 +47,8 @@ pub mod report;
 pub use chaos::{corrupt_module, ModuleCorruption, SemanticCorruption};
 pub use config::{FailurePolicy, PibeConfig, PibeConfigBuilder, ValidationPolicy};
 pub use farm::{FarmStats, ImageFarm};
-pub use pibe_harden::{Arch, DefenseBackend, DefenseSet, HardenCache, HardenCacheStats};
+pub use pibe_harden::{Arch, DefenseBackend, DefenseSet};
 pub use pipeline::{
-    build_image, BuildMetrics, FaultLog, Image, ImageBuilder, ImageSize, PipelineError,
-    ProfiledImageBuilder, Stage, StageFault, StageSnapshot,
+    BuildMetrics, FaultLog, Image, ImageBuilder, ImageSize, PipelineError, ProfiledImageBuilder,
+    Stage, StageFault, StageSnapshot,
 };

@@ -1,9 +1,9 @@
 //! The incremental-vs-full bit-identity oracle for the serve loop.
 //!
 //! The continuous-PGO service maintains its image *incrementally*: no-drift
-//! epochs skip the pipeline entirely (decision-surface equality), and
-//! drifting epochs rebuild with a warm harden cache. The contract is that
-//! none of that machinery is ever observable in the output: at any epoch,
+//! epochs skip the pipeline entirely (decision-surface equality), and only
+//! drifting epochs rebuild. The contract is that the skipping is never
+//! observable in the output: at any epoch,
 //! the served image must be **bit-identical** to what a from-scratch
 //! pipeline run over the same cumulative profile would produce. This
 //! module is the judge — it compares the canonical textual rendering of

@@ -141,7 +141,7 @@ pub fn audit(module: &Module, defenses: DefenseSet) -> SecurityAudit {
 ///
 /// # Errors
 /// [`AuditError::UnloweredJumpTable`] on the backend mismatch above. For
-/// an image produced by [`apply_with`](crate::apply_with) under the same
+/// an image produced by [`apply`](crate::apply) under the same
 /// backend and defenses, the audit always succeeds (the
 /// auditor-accepts-own-transform conformance law).
 pub fn audit_backend(
@@ -198,7 +198,7 @@ pub fn audit_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply;
+    use crate::{apply, Arch};
     use pibe_ir::{FnAttrs, FunctionBuilder};
 
     fn image() -> Module {
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn full_hardening_leaves_only_asm_sites_vulnerable() {
         let mut m = image();
-        apply(&mut m, DefenseSet::ALL);
+        apply(&mut m, Arch::X86.backend(), DefenseSet::ALL, 1);
         let a = audit(&m, DefenseSet::ALL);
         assert_eq!(a.protected_icalls, 1);
         assert_eq!(a.vulnerable_icalls, 1, "the asm icall stays vulnerable");
@@ -262,7 +262,7 @@ mod tests {
     #[test]
     fn retpolines_only_protect_forward_edges() {
         let mut m = image();
-        apply(&mut m, DefenseSet::RETPOLINES);
+        apply(&mut m, Arch::X86.backend(), DefenseSet::RETPOLINES, 1);
         let a = audit(&m, DefenseSet::RETPOLINES);
         assert_eq!(a.protected_icalls, 1);
         assert_eq!(a.protected_returns, 0);
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn ret_retpolines_only_protect_backward_edges() {
         let mut m = image();
-        apply(&mut m, DefenseSet::RET_RETPOLINES);
+        apply(&mut m, Arch::X86.backend(), DefenseSet::RET_RETPOLINES, 1);
         let a = audit(&m, DefenseSet::RET_RETPOLINES);
         assert_eq!(a.protected_icalls, 0);
         assert_eq!(a.vulnerable_icalls, 2);

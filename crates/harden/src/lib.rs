@@ -38,7 +38,7 @@
 //! ## Example
 //!
 //! ```
-//! use pibe_harden::{apply, audit, costs, DefenseSet};
+//! use pibe_harden::{apply, audit, costs, Arch, DefenseSet};
 //! use pibe_ir::{FunctionBuilder, Module};
 //!
 //! let mut module = Module::new("demo");
@@ -48,7 +48,7 @@
 //! b.ret();
 //! module.add_function(b.build());
 //!
-//! let report = apply(&mut module, DefenseSet::ALL);
+//! let report = apply(&mut module, Arch::X86.backend(), DefenseSet::ALL, 1);
 //! assert!(report.defenses.hardens_forward());
 //! let audit = audit(&module, DefenseSet::ALL);
 //! assert_eq!(audit.protected_icalls, 1);
@@ -73,6 +73,4 @@ pub use backend::{
     RISCV_CFI, RISCV_CFI_NOP, X86_RETPOLINE,
 };
 pub use defense::DefenseSet;
-pub use transform::{
-    apply, apply_cached, apply_threaded, apply_with, HardenCache, HardenCacheStats, HardenReport,
-};
+pub use transform::{apply, HardenReport};

@@ -4,8 +4,7 @@ use crate::backend::DefenseBackend;
 use crate::DefenseSet;
 use pibe_ir::{Function, Module, Terminator};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// What [`apply`] changed in the module.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -21,111 +20,45 @@ pub struct HardenReport {
 }
 
 /// Applies the compile-time side effects of hardening `module` with
-/// `defenses`.
+/// `defenses` under `backend`, fanning the per-function rewrites across up
+/// to `threads` workers.
 ///
 /// Today this is jump-table disabling: "To protect against jump table
 /// hijacking under transient execution, PIBE disables jump table generation
 /// in the compiler — the default LLVM behavior when retpolines or LVI
 /// defenses are enabled" (§5.1). Switches inside functions marked
 /// `inline_asm` are outside the compiler's reach and keep their tables
-/// (they become the audit's vulnerable indirect jumps).
+/// (they become the audit's vulnerable indirect jumps). The backend's
+/// transform semantics decide whether tables are re-lowered at all:
+/// hardware-CFI backends cover table targets with landing pads and keep the
+/// tables, so their transform is the identity.
+///
+/// Every function is an independent unit of work, so workers read shared
+/// [`Arc`] handles, rewrite privately, and the merge installs results **in
+/// function-id order** — the report counts and the resulting module are
+/// bit-identical under any thread count.
 ///
 /// The *costs* of hardened branches are charged dynamically by the
 /// simulator from [`crate::costs`]; there is no need to rewrite every call
 /// and return site in the IR.
-pub fn apply(module: &mut Module, defenses: DefenseSet) -> HardenReport {
-    apply_threaded(module, defenses, 1)
-}
-
-/// Like [`apply`], fanning the per-function rewrites across up to `threads`
-/// workers.
-///
-/// Every function is an independent unit of work, so workers read shared
-/// [`std::sync::Arc`] handles, rewrite privately, and the merge installs
-/// results **in function-id order** — the report counts and the resulting
-/// module are bit-identical to the sequential path under any thread count.
-pub fn apply_threaded(module: &mut Module, defenses: DefenseSet, threads: usize) -> HardenReport {
-    apply_with(module, crate::Arch::X86.backend(), defenses, threads)
-}
-
-/// [`apply_threaded`] under an explicit [`DefenseBackend`]: the backend's
-/// transform semantics decide whether jump tables are re-lowered at all
-/// (hardware-CFI backends cover table targets with landing pads and keep
-/// the tables, so their transform is the identity).
-pub fn apply_with(
+pub fn apply(
     module: &mut Module,
     backend: &dyn DefenseBackend,
     defenses: DefenseSet,
     threads: usize,
-) -> HardenReport {
-    apply_inner(module, backend, defenses, threads, None)
-}
-
-/// [`apply_with`] with a warm [`HardenCache`]: functions whose `Arc` handle
-/// was already hardened by an earlier call reuse the memoized result instead
-/// of rescanning their blocks. The report and the resulting module are
-/// bit-identical to the uncached path — the cache only skips work, never
-/// changes it.
-///
-/// This is the serve loop's re-optimization accelerator: across epochs the
-/// untouched majority of functions keeps its copy-on-write `Arc` identity
-/// through clone/ICP/inline/DCE, so only functions the epoch actually
-/// rewrote are rescanned here.
-pub fn apply_cached(
-    module: &mut Module,
-    backend: &dyn DefenseBackend,
-    defenses: DefenseSet,
-    threads: usize,
-    cache: &HardenCache,
-) -> HardenReport {
-    apply_inner(module, backend, defenses, threads, Some(cache))
-}
-
-fn apply_inner(
-    module: &mut Module,
-    backend: &dyn DefenseBackend,
-    defenses: DefenseSet,
-    threads: usize,
-    cache: Option<&HardenCache>,
 ) -> HardenReport {
     let mut report = HardenReport {
         defenses,
         ..HardenReport::default()
     };
     if !backend.disables_jump_tables(defenses) {
-        // The transform is the identity; the cache (if any) is not consulted
-        // and its generation clock does not advance.
         return report;
     }
-    let n = module.len();
-
-    // Phase 1: one lock acquisition resolves every function against the
-    // cache (all misses when uncached).
-    let mut results: Vec<Option<HardenOutcome>> = match cache {
-        Some(cache) => cache.lookup_all(module.functions()),
-        None => (0..n).map(|_| None).collect(),
-    };
-
-    // Phase 2: compute the misses, fanning out when asked to.
-    let miss_idx: Vec<usize> = (0..n).filter(|&i| results[i].is_none()).collect();
     let shared = &*module;
-    let computed = pibe_ir::par::map_indexed(miss_idx.len(), threads, |j| {
-        harden_function(&shared.functions()[miss_idx[j]])
+    let outcomes = pibe_ir::par::map_indexed(shared.len(), threads, |i| {
+        harden_function(&shared.functions()[i])
     });
-
-    // Phase 3: memoize the fresh results (one lock acquisition), then
-    // retire cache entries that no live module references anymore.
-    if let Some(cache) = cache {
-        cache.insert_all(module.functions(), &miss_idx, &computed);
-    }
-    for (j, outcome) in miss_idx.into_iter().zip(computed) {
-        results[j] = Some(outcome);
-    }
-
-    // Phase 4: install in function-id order, exactly like the uncached
-    // sequential path.
-    for (i, outcome) in results.into_iter().enumerate() {
-        let (rewritten, disabled, kept) = outcome.expect("every function resolved");
+    for (i, (rewritten, disabled, kept)) in outcomes.into_iter().enumerate() {
         if let Some(f) = rewritten {
             module.set_function_arc(pibe_ir::FuncId::from_raw(i as u32), f);
         }
@@ -135,160 +68,11 @@ fn apply_inner(
     report
 }
 
-/// One function's harden result: its replacement (when it changed) and the
-/// `(disabled, kept)` jump-table counts.
-type HardenOutcome = (Option<Arc<Function>>, u64, u64);
-
-/// A memo of per-function harden results, keyed by the **identity** of the
-/// input function's `Arc` handle.
-///
-/// Soundness rests on two facts. First, `harden_function` is a pure
-/// function of the function body alone — it takes neither the backend nor
-/// the defense set (every jump-table-disabling configuration performs the
-/// same rewrite), so one cache serves any such configuration. Second, each
-/// entry holds a clone of the key `Arc`: the allocation behind the pointer
-/// key cannot be freed and reused while the entry lives (no ABA), and with
-/// the cache holding a second reference, `Arc::make_mut` anywhere else must
-/// clone rather than mutate in place — a cached pointer therefore always
-/// denotes the exact bytes that were hardened.
-///
-/// Entries untouched for a configurable number of consecutive cached
-/// applications are evicted, bounding memory across a long-lived epoch loop
-/// where drifted functions churn their `Arc` identities every rebuild.
-#[derive(Debug)]
-pub struct HardenCache {
-    inner: Mutex<CacheInner>,
-    retention: u64,
-}
-
-#[derive(Debug, Default)]
-struct CacheInner {
-    entries: HashMap<usize, CacheEntry>,
-    generation: u64,
-    hits: u64,
-    misses: u64,
-}
-
-#[derive(Debug)]
-struct CacheEntry {
-    /// Pins the keyed allocation (ABA safety; forces copy-on-write
-    /// elsewhere). Never read, only held.
-    _key: Arc<Function>,
-    outcome: HardenOutcome,
-    last_used: u64,
-}
-
-/// A point-in-time snapshot of [`HardenCache`] effectiveness counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HardenCacheStats {
-    /// Functions resolved from the memo without a rescan.
-    pub hits: u64,
-    /// Functions that had to be rescanned (then memoized).
-    pub misses: u64,
-    /// Entries currently held.
-    pub entries: usize,
-    /// Cached applications completed (the eviction clock).
-    pub generation: u64,
-}
-
-impl Default for HardenCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HardenCache {
-    /// Default eviction horizon: entries idle for this many cached
-    /// applications are dropped.
-    pub const DEFAULT_RETENTION: u64 = 4;
-
-    /// An empty cache with [`Self::DEFAULT_RETENTION`].
-    pub fn new() -> Self {
-        Self::with_retention(Self::DEFAULT_RETENTION)
-    }
-
-    /// An empty cache evicting entries idle for `retention` consecutive
-    /// cached applications (clamped to at least 1).
-    pub fn with_retention(retention: u64) -> Self {
-        HardenCache {
-            inner: Mutex::new(CacheInner::default()),
-            retention: retention.max(1),
-        }
-    }
-
-    /// Current effectiveness counters.
-    pub fn stats(&self) -> HardenCacheStats {
-        let inner = self.inner.lock().expect("harden cache poisoned");
-        HardenCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            entries: inner.entries.len(),
-            generation: inner.generation,
-        }
-    }
-
-    /// Drops every entry and resets the eviction clock; the hit/miss
-    /// counters keep accumulating.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("harden cache poisoned");
-        inner.entries.clear();
-        inner.generation = 0;
-    }
-
-    /// Resolves each function against the memo, marking hits as used in the
-    /// current generation.
-    fn lookup_all(&self, functions: &[Arc<Function>]) -> Vec<Option<HardenOutcome>> {
-        let mut inner = self.inner.lock().expect("harden cache poisoned");
-        let generation = inner.generation;
-        let mut out = Vec::with_capacity(functions.len());
-        let mut hits = 0u64;
-        for f in functions {
-            let found = inner.entries.get_mut(&(Arc::as_ptr(f) as usize));
-            out.push(found.map(|e| {
-                e.last_used = generation;
-                hits += 1;
-                e.outcome.clone()
-            }));
-        }
-        inner.hits += hits;
-        inner.misses += functions.len() as u64 - hits;
-        out
-    }
-
-    /// Memoizes freshly computed outcomes, then advances the eviction clock
-    /// and retires entries idle past the retention horizon.
-    fn insert_all(
-        &self,
-        functions: &[Arc<Function>],
-        miss_idx: &[usize],
-        computed: &[HardenOutcome],
-    ) {
-        let mut inner = self.inner.lock().expect("harden cache poisoned");
-        let generation = inner.generation;
-        for (&i, outcome) in miss_idx.iter().zip(computed) {
-            let f = &functions[i];
-            inner.entries.insert(
-                Arc::as_ptr(f) as usize,
-                CacheEntry {
-                    _key: Arc::clone(f),
-                    outcome: outcome.clone(),
-                    last_used: generation,
-                },
-            );
-        }
-        inner.generation += 1;
-        let horizon = generation.saturating_sub(self.retention - 1);
-        inner.entries.retain(|_, e| e.last_used >= horizon);
-    }
-}
-
 /// Hardens one function, returning its replacement (if it changed) and the
 /// `(disabled, kept)` jump-table counts. Reads first and only copies when a
 /// re-lowerable table switch is actually present, so untouched functions
 /// stay copy-on-write-shared with the pipeline's stage snapshots.
-fn harden_function(
-    f: &std::sync::Arc<pibe_ir::Function>,
-) -> (Option<std::sync::Arc<pibe_ir::Function>>, u64, u64) {
+fn harden_function(f: &Arc<Function>) -> (Option<Arc<Function>>, u64, u64) {
     let tables = f
         .terms()
         .filter(|t| {
@@ -307,19 +91,21 @@ fn harden_function(
     if f.attrs().inline_asm {
         return (None, 0, tables);
     }
-    let mut nf = pibe_ir::Function::clone(f);
+    let mut nf = Function::clone(f);
     for term in nf.terms_mut() {
         if let Terminator::Switch { via_table, .. } = term {
             *via_table = false;
         }
     }
-    (Some(std::sync::Arc::new(nf)), tables, 0)
+    (Some(Arc::new(nf)), tables, 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pibe_ir::{FnAttrs, FunctionBuilder, OpKind};
+
+    const X86: &dyn DefenseBackend = &crate::X86RetpolineBackend;
 
     fn module_with_switches() -> Module {
         let mut m = Module::new("m");
@@ -348,7 +134,7 @@ mod tests {
     #[test]
     fn no_defenses_keeps_jump_tables() {
         let mut m = module_with_switches();
-        let r = apply(&mut m, DefenseSet::NONE);
+        let r = apply(&mut m, X86, DefenseSet::NONE, 1);
         assert_eq!(r.jump_tables_disabled, 0);
         assert_eq!(m.census().indirect_jumps, 2);
     }
@@ -356,7 +142,7 @@ mod tests {
     #[test]
     fn defenses_disable_jump_tables_outside_inline_asm() {
         let mut m = module_with_switches();
-        let r = apply(&mut m, DefenseSet::RETPOLINES);
+        let r = apply(&mut m, X86, DefenseSet::RETPOLINES, 1);
         assert_eq!(r.jump_tables_disabled, 1);
         assert_eq!(r.jump_tables_kept, 1);
         assert_eq!(m.census().indirect_jumps, 1);
@@ -367,12 +153,12 @@ mod tests {
     fn threaded_apply_is_bit_identical_to_sequential() {
         let reference = {
             let mut m = module_with_switches();
-            let r = apply(&mut m, DefenseSet::RETPOLINES);
+            let r = apply(&mut m, X86, DefenseSet::RETPOLINES, 1);
             (m, r)
         };
         for threads in [2, 4] {
             let mut m = module_with_switches();
-            let r = apply_threaded(&mut m, DefenseSet::RETPOLINES, threads);
+            let r = apply(&mut m, X86, DefenseSet::RETPOLINES, threads);
             assert_eq!(r, reference.1, "threads={threads}");
             assert_eq!(m.functions(), reference.0.functions(), "threads={threads}");
         }
@@ -382,7 +168,7 @@ mod tests {
     fn untouched_functions_stay_cow_shared() {
         let base = module_with_switches();
         let mut m = base.clone();
-        apply(&mut m, DefenseSet::RETPOLINES);
+        apply(&mut m, X86, DefenseSet::RETPOLINES, 1);
         let normal = base.find_function("normal").unwrap();
         let paravirt = base.find_function("paravirt").unwrap();
         assert!(
@@ -398,130 +184,9 @@ mod tests {
     #[test]
     fn apply_is_idempotent() {
         let mut m = module_with_switches();
-        apply(&mut m, DefenseSet::ALL);
-        let again = apply(&mut m, DefenseSet::ALL);
+        apply(&mut m, X86, DefenseSet::ALL, 1);
+        let again = apply(&mut m, X86, DefenseSet::ALL, 1);
         assert_eq!(again.jump_tables_disabled, 0);
         assert_eq!(again.jump_tables_kept, 1);
-    }
-
-    #[test]
-    fn cached_apply_is_bit_identical_and_skips_rescans() {
-        let backend = crate::Arch::X86.backend();
-        let reference = {
-            let mut m = module_with_switches();
-            let r = apply(&mut m, DefenseSet::RETPOLINES);
-            (m, r)
-        };
-
-        let base = module_with_switches();
-        let cache = HardenCache::new();
-        for round in 0..3 {
-            // Each epoch re-clones the base, exactly like the pipeline's
-            // stage snapshotting: the function Arcs keep their identity.
-            let mut m = base.clone();
-            let r = apply_cached(&mut m, backend, DefenseSet::RETPOLINES, 1, &cache);
-            assert_eq!(r, reference.1, "round={round}");
-            assert_eq!(m.functions(), reference.0.functions(), "round={round}");
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 2, "only the first round scans");
-        assert_eq!(stats.hits, 4, "both functions hit in rounds 2 and 3");
-        assert_eq!(stats.generation, 3);
-    }
-
-    #[test]
-    fn cached_apply_threaded_matches_sequential() {
-        let backend = crate::Arch::X86.backend();
-        let base = module_with_switches();
-        let reference = {
-            let mut m = base.clone();
-            (apply(&mut m, DefenseSet::RETPOLINES), m)
-        };
-        for threads in [2, 4] {
-            let cache = HardenCache::new();
-            let mut m = base.clone();
-            let r = apply_cached(&mut m, backend, DefenseSet::RETPOLINES, threads, &cache);
-            assert_eq!(r, reference.0, "threads={threads}");
-            assert_eq!(m.functions(), reference.1.functions(), "threads={threads}");
-            // A second pass over the same Arcs is all hits.
-            let mut m2 = base.clone();
-            let r2 = apply_cached(&mut m2, backend, DefenseSet::RETPOLINES, threads, &cache);
-            assert_eq!(r2, reference.0);
-            assert_eq!(cache.stats().hits, 2, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn changed_function_identity_misses_and_rescans() {
-        let backend = crate::Arch::X86.backend();
-        let base = module_with_switches();
-        let cache = HardenCache::new();
-        let mut m = base.clone();
-        apply_cached(&mut m, backend, DefenseSet::RETPOLINES, 1, &cache);
-
-        // An epoch rewrite: one function gets a fresh Arc (same content, new
-        // identity) — it must be rescanned, the other still hits.
-        let mut m2 = base.clone();
-        let id = m2.find_function("normal").unwrap();
-        let fresh = pibe_ir::Function::clone(m2.function_arc(id));
-        m2.set_function_arc(id, std::sync::Arc::new(fresh));
-        let before = cache.stats();
-        let r = apply_cached(&mut m2, backend, DefenseSet::RETPOLINES, 1, &cache);
-        assert_eq!(r.jump_tables_disabled, 1);
-        let after = cache.stats();
-        assert_eq!(after.hits - before.hits, 1);
-        assert_eq!(after.misses - before.misses, 1);
-    }
-
-    #[test]
-    fn identity_backends_leave_the_cache_untouched() {
-        // Hardware-CFI backends keep jump tables: no scan, no memoization,
-        // no generation advance.
-        let cache = HardenCache::new();
-        let mut m = module_with_switches();
-        let r = apply_cached(
-            &mut m,
-            crate::Arch::Arm64.backend(),
-            DefenseSet::RETPOLINES,
-            1,
-            &cache,
-        );
-        assert_eq!(r.jump_tables_disabled, 0);
-        assert_eq!(cache.stats(), HardenCacheStats::default());
-    }
-
-    #[test]
-    fn idle_entries_are_evicted_after_the_retention_horizon() {
-        let backend = crate::Arch::X86.backend();
-        let base = module_with_switches();
-        let cache = HardenCache::with_retention(2);
-        let mut m = base.clone();
-        apply_cached(&mut m, backend, DefenseSet::RETPOLINES, 1, &cache);
-        assert_eq!(cache.stats().entries, 2);
-
-        // Epochs over a disjoint module: the base's entries go idle and age
-        // out once they miss `retention` consecutive applications.
-        let other = {
-            let mut m = Module::new("other");
-            let mut b = FunctionBuilder::new("lonely", 0);
-            b.ret();
-            m.add_function(b.build());
-            m
-        };
-        for _ in 0..2 {
-            let mut m = other.clone();
-            apply_cached(&mut m, backend, DefenseSet::RETPOLINES, 1, &cache);
-        }
-        assert_eq!(
-            cache.stats().entries,
-            1,
-            "only the live module's entry survives"
-        );
-
-        // The evicted functions still harden correctly — just as misses.
-        let before = cache.stats().misses;
-        let mut m = base.clone();
-        apply_cached(&mut m, backend, DefenseSet::RETPOLINES, 1, &cache);
-        assert_eq!(cache.stats().misses - before, 2);
     }
 }

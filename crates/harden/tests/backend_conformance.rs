@@ -5,7 +5,7 @@
 //! all four backends so a new architecture cannot land with a cost model
 //! or transform that the pipeline's invariants do not hold for.
 
-use pibe_harden::{apply_with, audit_backend, Arch, AuditError, DefenseBackend, DefenseSet};
+use pibe_harden::{apply, audit_backend, Arch, AuditError, DefenseBackend, DefenseSet};
 use pibe_ir::{FnAttrs, FunctionBuilder, Module, OpKind};
 
 /// All eight defense selections (the full power set of the three flags).
@@ -144,9 +144,9 @@ fn transform_is_idempotent() {
     for b in backends() {
         for d in DefenseSet::EVALUATED {
             let mut m = test_module();
-            let first = apply_with(&mut m, b, d, 1);
+            let first = apply(&mut m, b, d, 1);
             let after_first = m.clone();
-            let second = apply_with(&mut m, b, d, 1);
+            let second = apply(&mut m, b, d, 1);
             assert_eq!(
                 second.jump_tables_disabled,
                 0,
@@ -176,7 +176,7 @@ fn auditor_accepts_its_own_transform() {
     for b in backends() {
         for d in DefenseSet::EVALUATED {
             let mut m = test_module();
-            apply_with(&mut m, b, d, 1);
+            apply(&mut m, b, d, 1);
             let audit = audit_backend(&m, b, d).unwrap_or_else(|e| {
                 panic!(
                     "{}: auditor rejected its own transform under {d}: {e}",

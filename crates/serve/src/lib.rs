@@ -12,7 +12,7 @@
 //!       │        (typed issues)  (typed records)          │
 //!       │                                           drifted functions
 //!       │                                                 │
-//!       │                              watchdog + retry + warm harden cache
+//!       │                                  watchdog + retry + full rebuild
 //!       │                                                 │
 //!       └── journal ◄── state machine ◄── rebuild ok? ──► new last-known-good
 //!                    (Healthy / Degraded / Frozen)   else roll epoch back

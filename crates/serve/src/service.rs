@@ -6,7 +6,7 @@ use crate::delta::{ProfileDelta, QuarantineReason, QuarantinedDelta};
 use crate::retry::RetryPolicy;
 use crate::state::{EpochJournal, EpochOutcome, EpochRecord, ServiceState};
 use crate::watchdog::{supervise, WatchdogVerdict};
-use pibe::{HardenCache, Image, PibeConfig, PipelineError};
+use pibe::{Image, PibeConfig, PipelineError};
 use pibe_ir::Module;
 use pibe_profile::{DecisionSurface, DriftConfig, IcpSpec, InlineSpec, ModuleIndex, Profile};
 use std::fmt;
@@ -79,12 +79,10 @@ pub trait Rebuilder: Send + Sync {
         profile: &Profile,
         config: &PibeConfig,
         threads: usize,
-        cache: &HardenCache,
     ) -> Result<Image, PipelineError>;
 }
 
-/// The production rebuilder: the real pipeline, re-entered with the warm
-/// harden cache attached.
+/// The production rebuilder: the real pipeline.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PipelineRebuilder;
 
@@ -95,13 +93,11 @@ impl Rebuilder for PipelineRebuilder {
         profile: &Profile,
         config: &PibeConfig,
         threads: usize,
-        cache: &HardenCache,
     ) -> Result<Image, PipelineError> {
         Image::builder(base)
             .profile(profile)
             .config(*config)
             .threads(threads)
-            .warm_harden_cache(cache)
             .build()
     }
 }
@@ -124,8 +120,8 @@ impl Rebuilder for PipelineRebuilder {
 ///    inline prefix, DCE roots — is unchanged, so the image *cannot* differ:
 ///    the epoch takes the fast path (cumulative advances, no pipeline runs);
 /// 4. on drift, runs a **guarded rebuild** — watchdog-bounded, retried with
-///    deterministic backoff on recoverable failures, warm-harden-cache
-///    accelerated — and promotes the result to last-known-good;
+///    deterministic backoff on recoverable failures — and promotes the
+///    result to last-known-good;
 /// 5. on exhausted failure, **rolls back** the epoch's merge entirely and
 ///    keeps serving the previous last-known-good image, degrading (and
 ///    eventually freezing) the [`ServiceState`].
@@ -145,7 +141,6 @@ pub struct PibeService {
     consecutive_failures: u32,
     journal: EpochJournal,
     quarantine: Vec<QuarantinedDelta>,
-    harden_cache: Arc<HardenCache>,
     rebuilder: Arc<dyn Rebuilder>,
 }
 
@@ -191,12 +186,10 @@ impl PibeService {
         serve: ServeConfig,
         rebuilder: Arc<dyn Rebuilder>,
     ) -> Result<Self, PipelineError> {
-        let harden_cache = Arc::new(HardenCache::new());
         let image = Image::builder(&base)
             .profile(&initial)
             .config(config)
             .threads(serve.threads)
-            .warm_harden_cache(&harden_cache)
             .build()?;
         let index = ModuleIndex::new(&base);
         let drift = drift_config(&config);
@@ -214,7 +207,6 @@ impl PibeService {
             consecutive_failures: 0,
             journal: EpochJournal::new(serve.freeze_after),
             quarantine: Vec::new(),
-            harden_cache,
             rebuilder,
         })
     }
@@ -242,11 +234,6 @@ impl PibeService {
     /// Every delta rejected so far, with full attribution.
     pub fn quarantine(&self) -> &[QuarantinedDelta] {
         &self.quarantine
-    }
-
-    /// Warm harden-cache effectiveness counters.
-    pub fn harden_cache_stats(&self) -> pibe::HardenCacheStats {
-        self.harden_cache.stats()
     }
 
     /// Operator intervention: unfreezes (or un-degrades) the service and
@@ -415,10 +402,9 @@ impl PibeService {
             let profile = Arc::new(profile.clone());
             let config = self.config;
             let threads = self.serve.threads;
-            let cache = Arc::clone(&self.harden_cache);
             let rebuilder = Arc::clone(&self.rebuilder);
             let verdict = supervise(self.serve.watchdog, move || {
-                rebuilder.rebuild(&base, &profile, &config, threads, &cache)
+                rebuilder.rebuild(&base, &profile, &config, threads)
             });
             let failure = match verdict {
                 WatchdogVerdict::Completed(Ok(image)) => return Ok((image, retries)),

@@ -3,8 +3,8 @@
 //! soak suite and the serve benchmark.
 
 use crate::delta::ProfileDelta;
-use pibe_ir::{Module, SiteId};
-use pibe_profile::{corrupt_profile, ChaosRng, Profile};
+use pibe_ir::{FuncId, Module, SiteId};
+use pibe_profile::{corrupt_profile, ChaosRng, Profile, ValueProfileEntry};
 
 /// Shape of the synthesized stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,15 +47,21 @@ pub struct StreamStats {
 }
 
 /// A deterministic generator of per-epoch [`ProfileDelta`] batches over a
-/// fixed base module and profile. Same seed and config, same stream — on
-/// every machine.
+/// fixed base module and profile. Same seed, config and profile contents,
+/// same stream — on every machine.
 #[derive(Debug)]
 pub struct DeltaStream<'a> {
     module: &'a Module,
-    base: &'a Profile,
     cfg: StreamConfig,
     seed: u64,
-    direct_sites: Vec<SiteId>,
+    // The base profile's counters in key order. The profile stores them in
+    // hash maps whose iteration order differs between instances; thinning
+    // walks these instead, so the RNG draws land on the same counters for
+    // every copy of the profile.
+    direct: Vec<(SiteId, u64)>,
+    indirect: Vec<(SiteId, &'a [ValueProfileEntry])>,
+    entries: Vec<(FuncId, u64)>,
+    returns: Vec<(FuncId, u64)>,
     stats: StreamStats,
     seq: u64,
 }
@@ -64,14 +70,19 @@ impl<'a> DeltaStream<'a> {
     /// A stream over `module`'s profile universe, thinning and perturbing
     /// `base` (a clean profile of the module).
     pub fn new(module: &'a Module, base: &'a Profile, cfg: StreamConfig, seed: u64) -> Self {
-        let mut direct_sites: Vec<SiteId> = base.iter_direct().map(|(s, _)| s).collect();
-        direct_sites.sort();
+        fn sorted<K: Ord, V>(it: impl Iterator<Item = (K, V)>) -> Vec<(K, V)> {
+            let mut v: Vec<(K, V)> = it.collect();
+            v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            v
+        }
         DeltaStream {
             module,
-            base,
             cfg,
             seed,
-            direct_sites,
+            direct: sorted(base.iter_direct()),
+            indirect: sorted(base.iter_indirect()),
+            entries: sorted(base.iter_entries()),
+            returns: sorted(base.iter_returns()),
             stats: StreamStats::default(),
             seq: 0,
         }
@@ -97,11 +108,11 @@ impl<'a> DeltaStream<'a> {
             );
             let mut profile = self.thinned_delta(&mut rng);
 
-            if drift_epoch && shard == 0 && !self.direct_sites.is_empty() {
+            if drift_epoch && shard == 0 && !self.direct.is_empty() {
                 // Rotate the boosted site so successive drift epochs move
                 // *different* decisions.
-                let site = self.direct_sites
-                    [(epoch / self.cfg.drift_every) as usize % self.direct_sites.len()];
+                let (site, _) =
+                    self.direct[(epoch / self.cfg.drift_every) as usize % self.direct.len()];
                 for _ in 0..self.cfg.drift_boost {
                     profile.record_direct(site);
                 }
@@ -134,28 +145,54 @@ impl<'a> DeltaStream<'a> {
     /// across all four counter dimensions.
     fn thinned_delta(&self, rng: &mut ChaosRng) -> Profile {
         let mut d = Profile::new();
-        for (site, count) in self.base.iter_direct() {
+        for &(site, count) in &self.direct {
             for _ in 0..(count % (2 + rng.below(7))) {
                 d.record_direct(site);
             }
         }
-        for (site, entries) in self.base.iter_indirect() {
+        for &(site, entries) in &self.indirect {
             for e in entries {
                 for _ in 0..(e.count % (2 + rng.below(5))) {
                     d.record_indirect(site, e.target);
                 }
             }
         }
-        for (f, c) in self.base.iter_entries() {
+        for &(f, c) in &self.entries {
             for _ in 0..(c % (1 + rng.below(4))) {
                 d.record_entry(f);
             }
         }
-        for (f, c) in self.base.iter_returns() {
+        for &(f, c) in &self.returns {
             for _ in 0..(c % (1 + rng.below(4))) {
                 d.record_return(f);
             }
         }
         d
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pibe_difftest::{gen_case, profile_case, GenConfig};
+
+    #[test]
+    fn separately_built_equal_profiles_give_the_same_stream() {
+        let case = gen_case(0x5EED_0D17, &GenConfig::default());
+        // Two independent `Profile` values with equal contents: their hash
+        // maps iterate in different orders.
+        let a = profile_case(&case);
+        let b = profile_case(&case);
+        assert_eq!(a, b);
+        let mut sa = DeltaStream::new(&case.module, &a, StreamConfig::default(), 7);
+        let mut sb = DeltaStream::new(&case.module, &b, StreamConfig::default(), 7);
+        for epoch in 0..20 {
+            assert_eq!(
+                sa.epoch_deltas(epoch),
+                sb.epoch_deltas(epoch),
+                "epoch {epoch}"
+            );
+        }
+        assert_eq!(sa.stats(), sb.stats());
     }
 }

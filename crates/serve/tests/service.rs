@@ -2,7 +2,7 @@
 //! Healthy → Degraded → Frozen state machine, typed quarantine, and
 //! last-known-good rollback — all driven through injected [`Rebuilder`]s.
 
-use pibe::{DefenseSet, HardenCache, Image, PibeConfig, PipelineError};
+use pibe::{DefenseSet, Image, PibeConfig, PipelineError};
 use pibe_ir::{FunctionBuilder, Module, OpKind, SiteId};
 use pibe_profile::{Profile, ProfileIssue};
 use pibe_serve::{
@@ -117,7 +117,6 @@ impl Rebuilder for FlakyRebuilder {
         profile: &Profile,
         config: &PibeConfig,
         threads: usize,
-        cache: &HardenCache,
     ) -> Result<Image, PipelineError> {
         if self
             .remaining_failures
@@ -128,7 +127,7 @@ impl Rebuilder for FlakyRebuilder {
                 message: "transient worker fault".into(),
             });
         }
-        PipelineRebuilder.rebuild(base, profile, config, threads, cache)
+        PipelineRebuilder.rebuild(base, profile, config, threads)
     }
 }
 
@@ -143,10 +142,9 @@ impl Rebuilder for HangingRebuilder {
         profile: &Profile,
         config: &PibeConfig,
         threads: usize,
-        cache: &HardenCache,
     ) -> Result<Image, PipelineError> {
         std::thread::sleep(self.delay);
-        PipelineRebuilder.rebuild(base, profile, config, threads, cache)
+        PipelineRebuilder.rebuild(base, profile, config, threads)
     }
 }
 
@@ -159,7 +157,6 @@ impl Rebuilder for FatalRebuilder {
         _profile: &Profile,
         _config: &PibeConfig,
         _threads: usize,
-        _cache: &HardenCache,
     ) -> Result<Image, PipelineError> {
         Err(PipelineError::ProfileInvalid(ProfileIssue::Empty))
     }

@@ -5,9 +5,8 @@
 //!
 //! This is the test that makes the decision-surface fast path honest: if
 //! the surface ever under-approximates drift (skipping a rebuild that
-//! would have changed the image) or the warm harden cache ever leaks a
-//! stale function body, some epoch's served image diverges from the
-//! from-scratch rebuild and [`pibe_difftest::bit_identical`] names the
+//! would have changed the image), some epoch's served image diverges from
+//! the from-scratch rebuild and [`pibe_difftest::bit_identical`] names the
 //! function.
 
 use pibe::{DefenseSet, Image, PibeConfig};
@@ -108,12 +107,5 @@ fn soak_200_epochs_of_corrupted_shards_stays_bit_identical_and_never_freezes() {
     assert_eq!(
         replay.quarantined, invalid,
         "journal quarantine counters disagree with the quarantine store"
-    );
-
-    // The warm harden cache actually got reuse across rebuild epochs.
-    let cache = svc.harden_cache_stats();
-    assert!(
-        cache.hits > 0,
-        "rebuilds never reused a hardened function: {cache:?}"
     );
 }

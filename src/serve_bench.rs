@@ -2,10 +2,9 @@
 //!
 //! The serve loop's performance claim is *incrementality*: a no-drift
 //! epoch costs validation + merge + decision-surface comparison (no
-//! pipeline run at all), and a drifting epoch's rebuild re-hardens only
-//! what changed (the warm harden cache replays the rest). So epoch
-//! latency should track the **drifted-function count**, not the module
-//! size — and this benchmark makes that visible by running the same
+//! pipeline run at all), and only a drifting epoch pays for a rebuild. So
+//! mean epoch latency should track how often decisions drift, not the
+//! module size — and this benchmark makes that visible by running the same
 //! epoch schedule against synthetic kernels of increasing scale and
 //! recording, per scale: the from-scratch build time (which *does* grow
 //! with module size), the mean drift-epoch latency, and the mean
@@ -139,8 +138,6 @@ struct ScaleResult {
     drift_epochs: u64,
     drift_ns_mean: u64,
     drifted_functions_mean: f64,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 fn mean(samples: &[u64]) -> u64 {
@@ -229,7 +226,6 @@ fn run_scale(scale: f64, args: &Args, threads: usize) -> ScaleResult {
     }
     assert_eq!(fast_ns.len() as u64, args.epochs.div_ceil(2));
 
-    let cache = svc.harden_cache_stats();
     ScaleResult {
         scale,
         functions: kernel.module.len(),
@@ -243,8 +239,6 @@ fn run_scale(scale: f64, args: &Args, threads: usize) -> ScaleResult {
         } else {
             drifted_total as f64 / drift_ns.len() as f64
         },
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
     }
 }
 
@@ -267,14 +261,12 @@ pub fn run(it: impl Iterator<Item = String>) {
         let r = run_scale(scale, &args, threads);
         eprintln!(
             "[scale {scale}: {} fns | cold build {}ms | drift epoch {}ms \
-             (mean {:.1} drifted fns) | fast path {}ms | cache {}h/{}m]",
+             (mean {:.1} drifted fns) | fast path {}ms]",
             r.functions,
             ms(r.full_build_ns),
             ms(r.drift_ns_mean),
             r.drifted_functions_mean,
             ms(r.fast_path_ns_mean),
-            r.cache_hits,
-            r.cache_misses,
         );
         results.push(r);
     }
@@ -310,8 +302,6 @@ pub fn run(it: impl Iterator<Item = String>) {
                     "drift_epochs": r.drift_epochs,
                     "drift_ns_mean": r.drift_ns_mean,
                     "drifted_functions_mean": r.drifted_functions_mean,
-                    "cache_hits": r.cache_hits,
-                    "cache_misses": r.cache_misses,
                 })
             })
             .collect::<Vec<_>>(),

@@ -14,7 +14,7 @@
 //! deplete a caller's growth budget before the hot sites are reached — the
 //! fluctuation the paper observed when raising LLVM's budget (§5.2).
 
-use pibe_ir::{size, CallGraph, FuncId, Inst, Module, SiteId};
+use pibe_ir::{recursive_marks, size, FuncId, Inst, Module, SiteId};
 use pibe_passes::{inline_call_site, SiteWeights};
 use serde::{Deserialize, Serialize};
 
@@ -61,8 +61,9 @@ pub fn run_llvm_inliner(
     weights: &SiteWeights,
     config: &LlvmInlinerConfig,
 ) -> LlvmInlinerStats {
-    let graph = CallGraph::build(module);
-    let order: Vec<FuncId> = graph.bottom_up_order();
+    let (offsets, callees) = call_csr(module);
+    let recursive = recursive_marks(&offsets, &callees);
+    let order = bottom_up_order(&offsets, &callees);
     let mut stats = LlvmInlinerStats::default();
 
     for caller in order {
@@ -86,7 +87,7 @@ pub fn run_llvm_inliner(
             let (site, callee) = worklist[idx];
             idx += 1;
             if callee == caller
-                || graph.is_recursive(callee)
+                || recursive[callee.index()]
                 || module.function(callee).attrs().noinline
                 || module.function(callee).attrs().optnone
                 || module.function(callee).attrs().inline_asm
@@ -118,6 +119,54 @@ pub fn run_llvm_inliner(
         }
     }
     stats
+}
+
+/// The static direct calls of `module` as a flat CSR adjacency (see
+/// [`recursive_marks`]). A flat pool scan suffices: block structure is
+/// irrelevant and tombstones are plain ops.
+fn call_csr(module: &Module) -> (Vec<u32>, Vec<FuncId>) {
+    let mut offsets: Vec<u32> = Vec::with_capacity(module.len() + 1);
+    let mut callees: Vec<FuncId> = Vec::new();
+    offsets.push(0);
+    for f in module.functions() {
+        callees.extend(f.insts().iter().filter_map(|i| match i {
+            Inst::Call { callee, .. } => Some(*callee),
+            _ => None,
+        }));
+        offsets.push(callees.len() as u32);
+    }
+    (offsets, callees)
+}
+
+/// Bottom-up (callees-before-callers) visit order: the DFS post-order over
+/// the CSR, started from each unvisited function in id order. Members of a
+/// cycle appear in discovery order. This is a plain DFS, not Tarjan's SCC
+/// order, which differs once a cycle member also calls outside its cycle;
+/// the baseline's decisions (and the robustness table) depend on it.
+fn bottom_up_order(offsets: &[u32], callees: &[FuncId]) -> Vec<FuncId> {
+    let n = offsets.len() - 1;
+    let outs = |i: usize| &callees[offsets[i] as usize..offsets[i + 1] as usize];
+    let mut seen = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    for start in 0..n {
+        if std::mem::replace(&mut seen[start], true) {
+            continue;
+        }
+        // Iterative DFS with explicit post-visit.
+        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
+            if let Some(next) = outs(node).get(*idx) {
+                *idx += 1;
+                if !std::mem::replace(&mut seen[next.index()], true) {
+                    stack.push((next.index(), 0));
+                }
+            } else {
+                order.push(FuncId::from_raw(node as u32));
+                stack.pop();
+            }
+        }
+    }
+    order
 }
 
 #[cfg(test)]
@@ -205,5 +254,35 @@ mod tests {
             .iter_insts()
             .all(|i| !matches!(i, Inst::Call { .. })));
         m.verify().unwrap();
+    }
+
+    #[test]
+    fn bottom_up_order_is_dfs_post_order_not_scc_order() {
+        // a -> {b, leaf}, b -> a: the cycle member `a` also calls the
+        // acyclic `leaf`. DFS post-order finishes `b` before it reaches
+        // `leaf`; Tarjan's SCC order would emit `leaf` first, then {b, a}.
+        let (a, b, leaf) = (
+            FuncId::from_raw(0),
+            FuncId::from_raw(1),
+            FuncId::from_raw(2),
+        );
+        let mut m = Module::new("m");
+        let mk = |m: &mut Module, name: &str, calls: &[FuncId]| {
+            let mut fb = FunctionBuilder::new(name, 0);
+            for &callee in calls {
+                let site = m.fresh_site();
+                fb.call(site, callee, 0);
+            }
+            fb.ret();
+            m.add_function(fb.build())
+        };
+        assert_eq!(mk(&mut m, "a", &[b, leaf]), a);
+        assert_eq!(mk(&mut m, "b", &[a]), b);
+        assert_eq!(mk(&mut m, "leaf", &[]), leaf);
+        m.verify().unwrap();
+
+        let (offsets, callees) = call_csr(&m);
+        assert_eq!(recursive_marks(&offsets, &callees), [true, true, false]);
+        assert_eq!(bottom_up_order(&offsets, &callees), [b, leaf, a]);
     }
 }

@@ -1,172 +1,18 @@
-//! Static call graph construction and recursion analysis.
+//! Recursion analysis over a module's static direct-call graph.
 
-use crate::ids::{FuncId, SiteId};
-use crate::inst::Inst;
-use crate::Module;
-use std::collections::HashSet;
+use crate::ids::FuncId;
 
-/// One static direct-call edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CallGraphEdge {
-    /// The calling function.
-    pub caller: FuncId,
-    /// The called function.
-    pub callee: FuncId,
-    /// The call site (stable profile identity).
-    pub site: SiteId,
-}
-
-/// The static direct call graph of a module.
-///
-/// Indirect edges are not part of the static graph; they become visible only
-/// through value profiles (`pibe-profile`), exactly as in the paper's
-/// pipeline. The graph answers the two questions PIBE's passes ask:
-/// *is this function (mutually) recursive?* (recursive callees are never
-/// inlined) and *what is a bottom-up traversal order?* (used by the default
-/// LLVM-style inliner baseline).
-#[derive(Debug, Clone)]
-pub struct CallGraph {
-    /// Per-caller callee lists; `sites` is the parallel per-caller site
-    /// list, so the pair at one index forms an edge. Per-caller storage
-    /// keeps [`CallGraph::record_inline`] proportional to the caller's
-    /// degree instead of the whole edge set.
-    callees: Vec<Vec<FuncId>>,
-    sites: Vec<Vec<SiteId>>,
-    recursive: Vec<bool>,
-}
-
-impl CallGraph {
-    /// Builds the call graph of `module`.
-    pub fn build(module: &Module) -> Self {
-        let n = module.len();
-        let mut callees: Vec<Vec<FuncId>> = vec![Vec::new(); n];
-        let mut sites: Vec<Vec<SiteId>> = vec![Vec::new(); n];
-        for f in module.functions() {
-            // Flat pool scan: block structure is irrelevant here and
-            // tombstones are plain `Op`s, so one pass over the pool suffices.
-            for inst in f.insts() {
-                if let Inst::Call { site, callee, .. } = inst {
-                    callees[f.id().index()].push(*callee);
-                    sites[f.id().index()].push(*site);
-                }
-            }
-        }
-        let recursive = tarjan_recursive(n, |i| callees[i].as_slice());
-        CallGraph {
-            callees,
-            sites,
-            recursive,
-        }
-    }
-
-    /// All static direct-call edges, flattened caller-by-caller.
-    pub fn edges(&self) -> impl Iterator<Item = CallGraphEdge> + '_ {
-        self.callees
-            .iter()
-            .zip(&self.sites)
-            .enumerate()
-            .flat_map(|(i, (cs, ss))| {
-                cs.iter().zip(ss).map(move |(c, s)| CallGraphEdge {
-                    caller: FuncId::from_raw(i as u32),
-                    callee: *c,
-                    site: *s,
-                })
-            })
-    }
-
-    /// Direct callees of `f` (with multiplicity).
-    pub fn callees(&self, f: FuncId) -> &[FuncId] {
-        &self.callees[f.index()]
-    }
-
-    /// True if `f` participates in a call cycle (directly or mutually
-    /// recursive). Such functions are never inlining candidates (§5.2).
-    pub fn is_recursive(&self, f: FuncId) -> bool {
-        self.recursive[f.index()]
-    }
-
-    /// Updates the graph for one performed inline of `callee` into
-    /// `caller` through `site`: that edge disappears (the call was elided)
-    /// and the callee's direct sites copied into the caller — `copied`,
-    /// the `(site, callee)` pairs [`InlinedCall`] reports — become new
-    /// caller edges. O(caller degree + copied), no module re-walk.
-    ///
-    /// The recursion analysis is deliberately *not* recomputed, because it
-    /// cannot change: every added edge `caller → g` is a shortcut of the
-    /// existing path `caller → callee → g`, so it creates no cycle that
-    /// was not already there, and the removed edge never participated in a
-    /// cycle (recursive callees are never inlined — a caller in a cycle
-    /// through `callee` would make `callee` recursive). Edge *set*
-    /// equality with a rebuilt graph is guaranteed; the per-caller order
-    /// of edges may differ from block order in the transformed module.
-    ///
-    /// [`InlinedCall`]: ../pibe_passes/struct.InlinedCall.html
-    pub fn record_inline(
-        &mut self,
-        caller: FuncId,
-        callee: FuncId,
-        site: SiteId,
-        copied: &[(SiteId, FuncId)],
-    ) {
-        let i = caller.index();
-        if let Some(p) = self.sites[i]
-            .iter()
-            .zip(&self.callees[i])
-            .position(|(s, c)| *s == site && *c == callee)
-        {
-            self.sites[i].remove(p);
-            self.callees[i].remove(p);
-        }
-        for (s, c) in copied {
-            self.sites[i].push(*s);
-            self.callees[i].push(*c);
-        }
-    }
-
-    /// Bottom-up (reverse-topological, callees-before-callers) traversal
-    /// order over all functions; members of cycles appear in discovery order.
-    pub fn bottom_up_order(&self) -> Vec<FuncId> {
-        let n = self.callees.len();
-        let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
-        let mut order = Vec::with_capacity(n);
-        for start in 0..n {
-            if state[start] != 0 {
-                continue;
-            }
-            // Iterative DFS with explicit post-visit.
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            state[start] = 1;
-            while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-                let outs = &self.callees[node];
-                if *idx < outs.len() {
-                    let next = outs[*idx].index();
-                    *idx += 1;
-                    if state[next] == 0 {
-                        state[next] = 1;
-                        stack.push((next, 0));
-                    }
-                } else {
-                    state[node] = 2;
-                    order.push(FuncId::from_raw(node as u32));
-                    stack.pop();
-                }
-            }
-        }
-        order
-    }
-}
-
-/// Per-function recursion marks straight from a flat CSR adjacency:
+/// Per-function recursion marks from a flat CSR adjacency:
 /// `callees[offsets[i] .. offsets[i + 1]]` are function `i`'s direct
 /// callees (with multiplicity). `offsets` has one trailing entry, so it is
-/// one longer than the function count.
+/// one longer than the function count. A function is marked when it
+/// participates in a call cycle, directly or mutually; such functions are
+/// never inlining candidates (§5.2).
 ///
-/// This is the allocation-light path for consumers that only need the
-/// *recursive?* answer — notably the inliner, which rejects recursive
-/// callees (§5.2) but never walks edges: inlining only ever shortcuts
-/// existing paths, so the marks stay valid while it transforms the module.
-/// Building a full [`CallGraph`] materializes two per-caller `Vec`s per
-/// function; this touches three flat arrays.
+/// Indirect edges are not part of the static graph; they become visible
+/// only through value profiles (`pibe-profile`), exactly as in the paper's
+/// pipeline. Inlining only ever shortcuts existing paths, so the marks stay
+/// valid while an inliner transforms the module.
 pub fn recursive_marks(offsets: &[u32], callees: &[FuncId]) -> Vec<bool> {
     let n = offsets.len().saturating_sub(1);
     tarjan_recursive(n, |i| {
@@ -245,27 +91,13 @@ fn tarjan_recursive<'a>(n: usize, callees: impl Fn(usize) -> &'a [FuncId]) -> Ve
     recursive
 }
 
-impl CallGraph {
-    /// The set of functions reachable from `roots` along direct-call edges.
-    pub fn reachable_from(&self, roots: &[FuncId]) -> HashSet<FuncId> {
-        let mut seen: HashSet<FuncId> = roots.iter().copied().collect();
-        let mut work: Vec<FuncId> = roots.to_vec();
-        while let Some(f) = work.pop() {
-            for &c in self.callees(f) {
-                if seen.insert(c) {
-                    work.push(c);
-                }
-            }
-        }
-        seen
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::inst::OpKind;
+    use crate::ids::SiteId;
+    use crate::inst::{Inst, OpKind};
+    use crate::Module;
 
     /// Builds: main -> a -> b, a -> c, b <-> c (mutual recursion), d -> d.
     fn cyclic_module() -> (Module, Vec<FuncId>) {
@@ -306,74 +138,21 @@ mod tests {
     #[test]
     fn recursion_detection_finds_cycles_and_self_loops() {
         let (m, ids) = cyclic_module();
-        let g = CallGraph::build(&m);
-        assert!(!g.is_recursive(ids[0]), "main is acyclic");
-        assert!(!g.is_recursive(ids[1]), "a is acyclic");
-        assert!(g.is_recursive(ids[2]), "b is in a cycle");
-        assert!(g.is_recursive(ids[3]), "c is in a cycle");
-        assert!(g.is_recursive(ids[4]), "d self-recurses");
-    }
-
-    #[test]
-    fn bottom_up_order_places_callees_first_outside_cycles() {
-        let (m, ids) = cyclic_module();
-        let g = CallGraph::build(&m);
-        let order = g.bottom_up_order();
-        assert_eq!(order.len(), m.len());
-        let pos = |f: FuncId| order.iter().position(|&x| x == f).unwrap();
-        assert!(pos(ids[1]) < pos(ids[0]), "a before main");
-        assert!(pos(ids[2]) < pos(ids[1]), "b before a");
-    }
-
-    #[test]
-    fn reachability_from_roots() {
-        let (m, ids) = cyclic_module();
-        let g = CallGraph::build(&m);
-        let r = g.reachable_from(&[ids[0]]);
-        assert!(r.contains(&ids[3]));
-        assert!(!r.contains(&ids[4]), "d unreachable from main");
-    }
-
-    #[test]
-    fn edges_record_sites() {
-        let (m, _) = cyclic_module();
-        let g = CallGraph::build(&m);
-        assert_eq!(g.edges().count(), 6);
-        assert!(g.edges().all(|e| e.caller != FuncId::from_raw(99)));
-    }
-
-    #[test]
-    fn record_inline_matches_a_rebuilt_graph() {
-        // root --s0--> mid --s1--> leaf: inline mid into root; the s0 edge
-        // disappears and root gains a copied s1 edge to leaf.
-        let mut m = Module::new("m");
-        let mk = |m: &mut Module, name: &str, calls: Vec<(SiteId, FuncId)>| {
-            let mut b = FunctionBuilder::new(name, 0);
-            b.op(OpKind::Alu);
-            for (s, c) in calls {
-                b.call(s, c, 0);
-            }
-            b.ret();
-            m.add_function(b.build())
-        };
-        let leaf = mk(&mut m, "leaf", vec![]);
-        let s1 = m.fresh_site();
-        let mid = mk(&mut m, "mid", vec![(s1, leaf)]);
-        let s0 = m.fresh_site();
-        let root = mk(&mut m, "root", vec![(s0, mid)]);
-
-        let mut g = CallGraph::build(&m);
-        g.record_inline(root, mid, s0, &[(s1, leaf)]);
-
-        assert_eq!(g.callees(root), &[leaf]);
-        assert_eq!(g.callees(mid), &[leaf], "the callee itself is untouched");
-        let mut got: Vec<_> = g.edges().map(|e| (e.caller, e.site, e.callee)).collect();
-        got.sort();
-        assert_eq!(
-            got,
-            vec![(mid, s1, leaf), (root, s1, leaf)],
-            "edge set matches what rebuilding after the transform would give"
-        );
-        assert!(m.func_ids().all(|f| !g.is_recursive(f)));
+        let mut offsets = vec![0u32];
+        let mut callees = Vec::new();
+        for f in m.functions() {
+            callees.extend(f.insts().iter().filter_map(|i| match i {
+                Inst::Call { callee, .. } => Some(*callee),
+                _ => None,
+            }));
+            offsets.push(callees.len() as u32);
+        }
+        let recursive = recursive_marks(&offsets, &callees);
+        let is_recursive = |f: FuncId| recursive[f.index()];
+        assert!(!is_recursive(ids[0]), "main is acyclic");
+        assert!(!is_recursive(ids[1]), "a is acyclic");
+        assert!(is_recursive(ids[2]), "b is in a cycle");
+        assert!(is_recursive(ids[3]), "c is in a cycle");
+        assert!(is_recursive(ids[4]), "d self-recurses");
     }
 }

@@ -63,7 +63,7 @@ pub mod text;
 mod verify;
 
 pub use builder::FunctionBuilder;
-pub use callgraph::{recursive_marks, CallGraph, CallGraphEdge};
+pub use callgraph::recursive_marks;
 pub use func::{Block, BlockRef, FnAttrs, Function};
 pub use ids::{BlockId, FuncId, SiteId, Symbol};
 pub use inst::{BranchKind, Cond, Inst, OpKind, Terminator};

@@ -85,8 +85,8 @@ pub fn parse_threads(var: &'static str, value: &str) -> Result<usize, EnvThreads
 ///
 /// # Errors
 /// Returns [`EnvThreadsError`] when the variable is set but malformed —
-/// callers with a user interface (the `pibe-suite` binary, the serve
-/// loop's config) surface the error; [`default_threads`] panics on it.
+/// callers with a user interface (the serve loop's config) surface the
+/// error; [`default_threads`] panics on it.
 pub fn threads_from_env() -> Result<Option<usize>, EnvThreadsError> {
     match std::env::var(THREADS_VAR) {
         Ok(v) => parse_threads(THREADS_VAR, &v).map(Some),

@@ -1,20 +1,30 @@
 //! Structural properties of the synthetic kernel the experiments rely on.
 
-use pibe_ir::{CallGraph, FuncId, Inst};
+use pibe_ir::{FuncId, Inst};
 use pibe_kernel::workloads::{lmbench_suite, WorkloadSpec};
 use pibe_kernel::{Kernel, KernelSpec, Provider, Syscall};
+use pibe_passes::strip_unreachable;
 use std::collections::HashSet;
 
 fn kernel() -> Kernel {
     Kernel::generate(KernelSpec::test())
 }
 
+/// The functions dead-function elimination keeps for `roots` and
+/// `address_taken`: everything reachable from them along direct calls.
+fn reachable(k: &Kernel, roots: &[FuncId], address_taken: &[FuncId]) -> HashSet<FuncId> {
+    let (_, map, _) = strip_unreachable(&k.module, roots, address_taken);
+    k.module
+        .func_ids()
+        .filter(|&f| map.translate(f).is_some())
+        .collect()
+}
+
 #[test]
 fn every_entry_reaches_its_subsystem_trunks() {
     let k = kernel();
-    let graph = CallGraph::build(&k.module);
     for sc in Syscall::ALL {
-        let reach = graph.reachable_from(&[k.entry(sc)]);
+        let reach = reachable(&k, &[k.entry(sc)], &[]);
         for sub in sc.trunks() {
             let head = k
                 .module
@@ -28,9 +38,8 @@ fn every_entry_reaches_its_subsystem_trunks() {
 #[test]
 fn shared_trunks_create_workload_overlap() {
     let k = kernel();
-    let graph = CallGraph::build(&k.module);
-    let read: HashSet<FuncId> = graph.reachable_from(&[k.entry(Syscall::Read)]);
-    let write: HashSet<FuncId> = graph.reachable_from(&[k.entry(Syscall::Write)]);
+    let read = reachable(&k, &[k.entry(Syscall::Read)], &[]);
+    let write = reachable(&k, &[k.entry(Syscall::Write)], &[]);
     let shared = read.intersection(&write).count();
     assert!(
         shared * 2 > read.len(),
@@ -39,16 +48,15 @@ fn shared_trunks_create_workload_overlap() {
         read.len()
     );
     // But distinct syscalls are not identical.
-    let fork: HashSet<FuncId> = graph.reachable_from(&[k.entry(Syscall::ForkExit)]);
+    let fork = reachable(&k, &[k.entry(Syscall::ForkExit)], &[]);
     assert_ne!(read, fork);
 }
 
 #[test]
 fn paravirt_sites_sit_on_reachable_paths() {
     let k = kernel();
-    let graph = CallGraph::build(&k.module);
     let roots: Vec<FuncId> = Syscall::ALL.iter().map(|s| k.entry(*s)).collect();
-    let reach = graph.reachable_from(&roots);
+    let reach = reachable(&k, &roots, &[]);
     let reachable_pv = k
         .module
         .functions()
@@ -140,16 +148,15 @@ fn profiling_observes_only_reachable_direct_sites() {
         5,
     )
     .unwrap();
-    let graph = CallGraph::build(&k.module);
     // Reachability must include indirect-call targets (handlers and hooks
     // are reached through dispatch, not direct edges).
-    let mut roots: Vec<FuncId> = Syscall::ALL.iter().map(|s| k.entry(*s)).collect();
-    roots.extend(
-        k.interface_sites
-            .iter()
-            .flat_map(|s| s.targets.iter().map(|(f, _)| *f)),
-    );
-    let reach = graph.reachable_from(&roots);
+    let roots: Vec<FuncId> = Syscall::ALL.iter().map(|s| k.entry(*s)).collect();
+    let address_taken: Vec<FuncId> = k
+        .interface_sites
+        .iter()
+        .flat_map(|s| s.targets.iter().map(|(f, _)| *f))
+        .collect();
+    let reach = reachable(&k, &roots, &address_taken);
     // Every profiled direct site must belong to a reachable function.
     let mut site_owner = std::collections::HashMap::new();
     for f in k.module.functions() {

@@ -38,6 +38,7 @@ pub fn lmbench_latencies(
     crossbeam::thread::scope(|scope| {
         for (slot, bench) in rows.iter_mut().zip(suite.iter()) {
             scope.spawn(move |_| {
+                let _span = sim_span(bench.syscall.name());
                 let (lat, _, _) = run_latency(module, kernel, workload, *bench, cfg, seed)
                     .expect("latency benchmark must run on a well-formed image");
                 *slot = Some(LatencyRow {
@@ -70,6 +71,7 @@ pub fn lmbench_attack_surface(
     };
     let mut total = AttackReport::default();
     for bench in suite {
+        let _span = sim_span(bench.syscall.name());
         let (_, _, attacks) = run_latency(module, kernel, workload, *bench, cfg, seed)
             .expect("attack-tracked benchmark must run");
         total.merge(&attacks);
@@ -86,9 +88,15 @@ pub fn macro_throughput(
     cfg: SimConfig,
     seed: u64,
 ) -> f64 {
+    let _span = sim_span(&bench.name);
     let (t, _) = run_throughput(module, kernel, workload, bench, cfg, seed)
         .expect("macro benchmark must run on a well-formed image");
     t.requests_per_sec
+}
+
+/// Opens the `sim.run` span around one simulator run of benchmark `bench`.
+fn sim_span(bench: &str) -> pibe_trace::SpanGuard {
+    pibe_trace::span_args("sim.run", || vec![("bench", bench.into())])
 }
 
 /// Percent overhead of `new` relative to `base` ("(+) means slowdown while

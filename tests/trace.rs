@@ -3,12 +3,14 @@
 //! well-formed JSON that Perfetto can load (per-track events properly
 //! nested, one named track per farm worker).
 
+use pibe::eval::lmbench_latencies;
 use pibe::{Image, ImageFarm, PibeConfig};
 use pibe_harden::DefenseSet;
 use pibe_kernel::measure::collect_profile;
 use pibe_kernel::workloads::{lmbench_suite, WorkloadSpec};
 use pibe_kernel::{Kernel, KernelSpec};
 use pibe_profile::{Budget, Profile};
+use pibe_sim::SimConfig;
 use serde_json::Value;
 use std::sync::Mutex;
 
@@ -227,6 +229,44 @@ fn num_field(v: &Value, key: &str) -> f64 {
         Some(Value::F64(n)) => *n,
         other => panic!("field {key} is not a number: {other:?}"),
     }
+}
+
+/// A traced `lmbench_latencies` records one `sim.run` span per benchmark
+/// of the suite, each naming its benchmark, although the runs execute on
+/// worker threads.
+#[test]
+fn lmbench_latencies_records_one_sim_run_span_per_benchmark() {
+    let _g = lock();
+    let kernel = Kernel::generate(KernelSpec::test());
+    let workload = WorkloadSpec::lmbench();
+    let suite = lmbench_suite(2);
+    pibe_trace::set_enabled(true);
+    let _ = pibe_trace::take();
+    lmbench_latencies(
+        &kernel.module,
+        &kernel,
+        &workload,
+        &suite,
+        SimConfig::default(),
+        7,
+    );
+    pibe_trace::set_enabled(false);
+    let data = pibe_trace::take();
+
+    let mut benches: Vec<String> = data
+        .spans
+        .iter()
+        .filter(|s| s.name == "sim.run")
+        .map(|s| match s.args.as_slice() {
+            [("bench", pibe_trace::Value::Str(name))] => name.clone(),
+            args => panic!("sim.run args {args:?}"),
+        })
+        .collect();
+    assert_eq!(benches.len(), suite.len(), "one sim.run span per benchmark");
+    let mut expected: Vec<String> = suite.iter().map(|b| b.syscall.name().to_string()).collect();
+    benches.sort();
+    expected.sort();
+    assert_eq!(benches, expected);
 }
 
 /// Tracing off is the default: a build with `PIBE_TRACE` unset records

@@ -9,7 +9,7 @@ use pibe_baselines::jumpswitch_sim_config;
 use pibe_harden::costs::NonTransientDefense;
 use pibe_harden::DefenseSet;
 use pibe_kernel::measure::run_throughput;
-use pibe_kernel::workloads::MacroBench;
+use pibe_kernel::workloads::{MacroBench, WorkloadSpec};
 use pibe_passes::{run_inliner, InlinerConfig, SiteWeights};
 use pibe_profile::{Budget, Profile};
 use pibe_sim::{micro, JumpSwitchConfig};
@@ -403,7 +403,6 @@ pub fn table6(lab: &Lab) -> Table {
 /// [`ExperimentError::Benchmark`] naming the macrobenchmark and seed when
 /// a vanilla throughput run fails.
 pub fn table7(lab: &Lab, requests: u32) -> Result<Table, ExperimentError> {
-    use pibe_kernel::workloads::WorkloadSpec;
     let benches: [(MacroBench, WorkloadSpec); 3] = [
         (MacroBench::nginx(requests), WorkloadSpec::nginx()),
         (MacroBench::apache(requests), WorkloadSpec::apache()),
@@ -431,59 +430,84 @@ pub fn table7(lab: &Lab, requests: u32) -> Result<Table, ExperimentError> {
         });
     }
     lab.prefetch(&configs);
-    for (mb, wl) in &benches {
-        // Vanilla throughput for this macro benchmark.
-        let (vanilla, _) = run_throughput(
-            &lab.kernel.module,
-            &lab.kernel,
-            wl,
-            mb,
-            pibe_sim::SimConfig::default(),
-            lab.seed,
-        )
-        .map_err(|source| ExperimentError::Benchmark {
-            benchmark: mb.name.clone(),
-            seed: lab.seed,
-            source,
-        })?;
-        for (dname, d) in defense_sweep() {
-            let unopt = lab.image(&PibeConfig::builder().defenses(d).build());
-            let opt = if d == DefenseSet::RETPOLINES {
-                // §8.5: "For the retpolines-only configuration we apply
-                // only indirect call promotion."
-                lab.image(
-                    &PibeConfig::builder()
-                        .icp(Budget::P99_999)
-                        .defenses(d)
-                        .build(),
-                )
-            } else {
-                lab.image(&PibeConfig::builder().lax().defenses(d).build())
-            };
-            let tp = |img: &crate::pipeline::Image| {
-                eval::macro_throughput(
-                    &img.module,
-                    &lab.kernel,
-                    wl,
-                    mb,
-                    pibe_sim::SimConfig {
-                        defenses: img.config.defenses,
-                        ..pibe_sim::SimConfig::default()
-                    },
-                    lab.seed,
-                )
-            };
-            let delta =
-                |rps: f64| (rps - vanilla.requests_per_sec) / vanilla.requests_per_sec * 100.0;
-            t.row(vec![
-                mb.name.clone(),
-                dname.into(),
-                pct(delta(tp(&unopt))),
-                pct(delta(tp(&opt))),
-            ]);
+    // One thread per macro benchmark; rows and the first error come back
+    // in benchmark order.
+    let per_bench = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = benches
+            .iter()
+            .map(|(mb, wl)| scope.spawn(move |_| table7_rows(lab, mb, wl)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("benchmark thread panicked"))
+            .collect::<Vec<_>>()
+    })
+    .expect("benchmark thread panicked");
+    for rows in per_bench {
+        for row in rows? {
+            t.row(row);
         }
     }
     Ok(t)
+}
+
+/// Table 7's rows for one macro benchmark: its vanilla run, then the
+/// unoptimized and optimized image of every defense in the sweep.
+fn table7_rows(
+    lab: &Lab,
+    mb: &MacroBench,
+    wl: &WorkloadSpec,
+) -> Result<Vec<Vec<String>>, ExperimentError> {
+    let (vanilla, _) = run_throughput(
+        &lab.kernel.module,
+        &lab.kernel,
+        wl,
+        mb,
+        pibe_sim::SimConfig::default(),
+        lab.seed,
+    )
+    .map_err(|source| ExperimentError::Benchmark {
+        benchmark: mb.name.clone(),
+        seed: lab.seed,
+        source,
+    })?;
+    let mut rows = Vec::new();
+    for (dname, d) in defense_sweep() {
+        let unopt = lab.image(&PibeConfig::builder().defenses(d).build());
+        let opt = if d == DefenseSet::RETPOLINES {
+            // §8.5: "For the retpolines-only configuration we apply
+            // only indirect call promotion."
+            lab.image(
+                &PibeConfig::builder()
+                    .icp(Budget::P99_999)
+                    .defenses(d)
+                    .build(),
+            )
+        } else {
+            lab.image(&PibeConfig::builder().lax().defenses(d).build())
+        };
+        let tp = |img: &crate::pipeline::Image| {
+            eval::macro_throughput(
+                &img.module,
+                &lab.kernel,
+                wl,
+                mb,
+                pibe_sim::SimConfig {
+                    defenses: img.config.defenses,
+                    ..pibe_sim::SimConfig::default()
+                },
+                lab.seed,
+            )
+        };
+        let delta = |rps: f64| (rps - vanilla.requests_per_sec) / vanilla.requests_per_sec * 100.0;
+        rows.push(vec![
+            mb.name.clone(),
+            dname.into(),
+            pct(delta(tp(&unopt))),
+            pct(delta(tp(&opt))),
+        ]);
+    }
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -519,6 +543,26 @@ mod tests {
             .parse::<f64>()
             .unwrap();
         assert!(geo < 0.0, "geomean must be a speedup, got {geo}%");
+    }
+
+    /// The macro benchmarks run on threads of their own; their rows still
+    /// come back in benchmark order, each in sweep order, and identical on
+    /// every call.
+    #[test]
+    fn table7_rows_keep_benchmark_and_sweep_order() {
+        let lab = Lab::test();
+        let t = table7(&lab, 4).unwrap();
+        let order: Vec<(&str, &str)> = t
+            .rows
+            .iter()
+            .map(|r| (r[0].as_str(), r[1].as_str()))
+            .collect();
+        let expected: Vec<(&str, &str)> = ["Nginx", "Apache", "DBench"]
+            .into_iter()
+            .flat_map(|b| defense_sweep().map(|(d, _)| (b, d)))
+            .collect();
+        assert_eq!(order, expected);
+        assert_eq!(t.rows, table7(&lab, 4).unwrap().rows);
     }
 
     #[test]

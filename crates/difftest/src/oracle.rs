@@ -12,7 +12,7 @@
 //! [`observe_stages`]: pibe::ProfiledImageBuilder::observe_stages
 
 use crate::gen::Case;
-use crate::trace::{project, run_trace, Obs, Projection};
+use crate::trace::{project, run_trace, Obs, Projection, TRACE_MAX_STEPS};
 use pibe::{Image, PibeConfig, SemanticCorruption, Stage};
 use pibe_harden::{Arch, DefenseSet};
 use pibe_ir::Module;
@@ -44,6 +44,17 @@ pub enum Divergence {
         /// The stage-output event at that index, if any.
         actual: Option<Obs>,
     },
+    /// The simulator's op-run fast path (trace collection off) and its
+    /// per-instruction path (trace collection on) disagreed on a call
+    /// result or on the execution statistics.
+    FastPath {
+        /// `baseline` or the name of the stage whose snapshot ran.
+        module: String,
+        /// The step budget of the run.
+        max_steps: u64,
+        /// The defenses the run was charged for.
+        defenses: DefenseSet,
+    },
 }
 
 impl fmt::Display for Divergence {
@@ -61,6 +72,15 @@ impl fmt::Display for Divergence {
                 "trace divergence after {} ({projection:?} projection) at event {index}: \
                  expected {expected:?}, got {actual:?}",
                 stage.name()
+            ),
+            Divergence::FastPath {
+                module,
+                max_steps,
+                defenses,
+            } => write!(
+                f,
+                "fast-path divergence on {module} (max_steps {max_steps}, defenses \
+                 {defenses:?}): results or stats differ with trace collection off"
             ),
         }
     }
@@ -146,6 +166,32 @@ fn first_mismatch(expected: &[Obs], actual: &[Obs]) -> Option<usize> {
     Some(i)
 }
 
+/// Builds `case`'s image through [`oracle_config_for`] and returns every
+/// committed stage's module, in pipeline order.
+fn stage_snapshots(
+    case: &Case,
+    sabotage: Option<Sabotage>,
+    arch: Arch,
+) -> Result<Vec<(Stage, Module)>, Divergence> {
+    let profile = profile_case(case);
+
+    let snapshots: RefCell<Vec<(Stage, Module)>> = RefCell::new(Vec::new());
+    let observer = |s: pibe::StageSnapshot<'_>| {
+        snapshots.borrow_mut().push((s.stage, s.module.clone()));
+    };
+    let mut builder = Image::builder(&case.module)
+        .profile(&profile)
+        .config(oracle_config_for(arch))
+        .observe_stages(&observer);
+    if let Some((stage, fault, seed)) = sabotage {
+        builder = builder.inject_semantic_fault(stage, fault, seed);
+    }
+    builder
+        .build()
+        .map_err(|e| Divergence::Build(format!("pipeline failed: {e}")))?;
+    Ok(snapshots.into_inner())
+}
+
 /// Runs the differential oracle on `case` under the `PIBE_ARCH` backend.
 ///
 /// With `sabotage: None` this must pass for every healthy case — a failure
@@ -167,27 +213,10 @@ pub fn run_oracle_at(
         .verify()
         .map_err(|e| Divergence::Build(format!("baseline module invalid: {e}")))?;
 
-    let profile = profile_case(case);
-
-    let snapshots: RefCell<Vec<(Stage, Module)>> = RefCell::new(Vec::new());
-    let observer = |s: pibe::StageSnapshot<'_>| {
-        snapshots.borrow_mut().push((s.stage, s.module.clone()));
-    };
-    let mut builder = Image::builder(&case.module)
-        .profile(&profile)
-        .config(oracle_config_for(arch))
-        .observe_stages(&observer);
-    if let Some((stage, fault, seed)) = sabotage {
-        builder = builder.inject_semantic_fault(stage, fault, seed);
-    }
-    builder
-        .build()
-        .map_err(|e| Divergence::Build(format!("pipeline failed: {e}")))?;
-
+    let snapshots = stage_snapshots(case, sabotage, arch)?;
     let entry_name = case.module.function(case.entry).name().to_string();
     let baseline = run_trace(case, &case.module, case.entry);
 
-    let snapshots = snapshots.into_inner();
     let mut stages = Vec::with_capacity(snapshots.len());
     for (stage, module) in &snapshots {
         module
@@ -220,6 +249,64 @@ pub fn run_oracle_at(
         stages,
         events: baseline.len(),
     })
+}
+
+/// Step budgets of the fast-path oracle: the trace budget, and budgets
+/// small enough that the step limit trips inside a run of ops.
+const FAST_PATH_BUDGETS: [u64; 4] = [TRACE_MAX_STEPS, 37, 200, 1000];
+
+/// Runs the simulator's fast-path oracle on `case` under the `PIBE_ARCH`
+/// backend.
+///
+/// With trace collection off the simulator charges a run of consecutive
+/// ops in one step; with it on, it steps per instruction. The baseline
+/// module and every stage snapshot [`run_oracle`] compares run both ways
+/// at step budgets of 1,000,000, 37, 200 and 1,000 (the small ones trip
+/// inside runs of ops), without defenses and, for the hardened snapshot,
+/// also under [`DefenseSet::ALL`]. Every `call_entry` result and the
+/// final [`ExecStats`](pibe_sim::ExecStats) must be equal.
+pub fn run_fast_path_oracle(case: &Case) -> Result<(), Divergence> {
+    let arch = Arch::from_env();
+    let snapshots = stage_snapshots(case, None, arch)?;
+    let entry_name = case.module.function(case.entry).name();
+    let mut runs = vec![("baseline", &case.module, DefenseSet::NONE)];
+    for (stage, module) in &snapshots {
+        runs.push((stage.name(), module, DefenseSet::NONE));
+        if *stage == Stage::Harden {
+            runs.push((stage.name(), module, DefenseSet::ALL));
+        }
+    }
+    for (name, module, defenses) in runs {
+        let entry = module
+            .find_function(entry_name)
+            .ok_or_else(|| Divergence::Build(format!("{name} stripped entry {entry_name}")))?;
+        for max_steps in FAST_PATH_BUDGETS {
+            let cfg = SimConfig {
+                defenses,
+                arch,
+                max_steps,
+                ..SimConfig::default()
+            };
+            // Every `call_entry` result, then the final statistics.
+            let run = |collect_trace| {
+                let cfg = SimConfig {
+                    collect_trace,
+                    ..cfg
+                };
+                let mut sim = Simulator::new(module, case.resolver.bind(module), case.seed, cfg);
+                let results: Vec<_> = (0..case.runs).map(|_| sim.call_entry(entry)).collect();
+                (results, *sim.stats())
+            };
+            if run(true) != run(false) {
+                return Err(Divergence::FastPath {
+                    module: name.to_string(),
+                    max_steps,
+                    defenses,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -115,7 +115,7 @@ fn obs_of(ev: TraceEvent, module: &Module) -> Obs {
 /// module. Step *counts* differ across stages (inlining removes executed
 /// call instructions), so this limit must never trip on healthy cases —
 /// tripping it would truncate stage traces at different points.
-const TRACE_MAX_STEPS: u64 = 1_000_000;
+pub(crate) const TRACE_MAX_STEPS: u64 = 1_000_000;
 
 /// Runs `case.runs` invocations of `entry` in `module` under `case`'s seed
 /// and resolver, returning the full observation stream (one [`Obs::End`] per

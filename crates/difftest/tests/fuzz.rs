@@ -5,7 +5,9 @@
 //! window; a soak run just sets a bigger `PIBE_DIFFTEST_SEEDS` (see
 //! EXPERIMENTS.md, "Running the difftest fuzzer").
 
-use pibe_difftest::{fixture, gen_case, run_oracle, run_oracle_at, GenConfig};
+use pibe_difftest::{
+    fixture, gen_case, run_fast_path_oracle, run_oracle, run_oracle_at, GenConfig,
+};
 use pibe_harden::Arch;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -35,6 +37,26 @@ fn every_pipeline_stage_is_trace_equivalent_over_the_seed_window() {
         events > count as usize,
         "the window produced suspiciously few observable events"
     );
+}
+
+/// The simulator charges runs of plain ops in one step when it collects no
+/// trace; over the same window, every case and stage image must give the
+/// same call results and statistics both ways, including when the step
+/// limit trips inside a run.
+#[test]
+fn the_simulator_fast_path_matches_per_instruction_stepping_over_the_seed_window() {
+    let base = env_u64("PIBE_DIFFTEST_BASE", 0);
+    let count = env_u64("PIBE_DIFFTEST_SEEDS", 500);
+    let cfg = GenConfig::default();
+    for seed in base..base + count {
+        let case = gen_case(seed, &cfg);
+        if let Err(d) = run_fast_path_oracle(&case) {
+            panic!(
+                "seed {seed} diverged: {d}\n\nreplayable fixture:\n{}",
+                fixture::to_text(&case, &format!("diverging seed {seed}: {d}"))
+            );
+        }
+    }
 }
 
 /// The same oracle under every non-default defense backend, over a window

@@ -308,19 +308,28 @@ impl ExecStats {
 ///
 /// Function bases are a prefix sum over the memoized
 /// [`size::function_bytes`], so creating a layout is cheap. A function's
-/// block spans are computed the first time control enters it: a run touches
-/// a few hundred of a kernel's tens of thousands of functions.
+/// block spans and op runs are computed the first time control enters it:
+/// a run touches a few hundred of a kernel's tens of thousands of
+/// functions.
 struct CodeLayout {
+    machine: MachineConfig,
     func_base: Vec<u64>,
-    /// Per function, its block spans once it has executed.
-    spans: Vec<OnceCell<BlockSpans>>,
+    /// Per function, its laid-out code once it has executed.
+    code: Vec<OnceCell<FuncCode>>,
 }
 
-/// `(offset, bytes)` of each block of one function.
-type BlockSpans = Box<[(u32, u32)]>;
+/// One executed function's block spans and op-run table.
+struct FuncCode {
+    /// `(offset, bytes, first run slot)` of each block.
+    blocks: Box<[(u32, u32, u32)]>,
+    /// One slot per instruction position, block by block, counting each
+    /// terminator: the length and cycle sum of the run of consecutive
+    /// `Inst::Op`s that starts there (`(0, 0)` at anything else).
+    runs: Box<[(u32, u64)]>,
+}
 
 impl CodeLayout {
-    fn new(module: &Module) -> Self {
+    fn new(module: &Module, machine: MachineConfig) -> Self {
         let mut cursor = 0u64;
         let func_base = module
             .functions()
@@ -331,31 +340,64 @@ impl CodeLayout {
                 base
             })
             .collect();
-        let mut spans = Vec::new();
-        spans.resize_with(module.len(), OnceCell::new);
-        CodeLayout { func_base, spans }
+        let mut code = Vec::new();
+        code.resize_with(module.len(), OnceCell::new);
+        CodeLayout {
+            machine,
+            func_base,
+            code,
+        }
     }
 
     fn func_base(&self, f: FuncId) -> u64 {
         self.func_base[f.index()]
     }
 
+    fn code(&self, module: &Module, f: FuncId) -> &FuncCode {
+        self.code[f.index()].get_or_init(|| {
+            let mut blocks = Vec::new();
+            let mut runs = Vec::new();
+            let mut off = 0;
+            for (_, b) in module.function(f).iter_blocks() {
+                let bytes = size::block_bytes(b);
+                blocks.push((off, bytes, runs.len() as u32));
+                off += bytes;
+                let first = runs.len();
+                runs.resize(first + b.len() + 1, (0, 0));
+                for (i, inst) in b.insts().iter().enumerate().rev() {
+                    if let Inst::Op(kind) = *inst {
+                        let (n, cycles) = runs[first + i + 1];
+                        runs[first + i] = (n + 1, cycles + op_cycles(&self.machine, kind));
+                    }
+                }
+            }
+            FuncCode {
+                blocks: blocks.into(),
+                runs: runs.into(),
+            }
+        })
+    }
+
     /// Address range `(start, len_bytes)` of block `b` of function `f`.
     fn block_range(&self, module: &Module, f: FuncId, b: BlockId) -> (u64, u32) {
-        let spans = self.spans[f.index()].get_or_init(|| {
-            let mut off = 0;
-            module
-                .function(f)
-                .iter_blocks()
-                .map(|(_, b)| {
-                    let bytes = size::block_bytes(b);
-                    off += bytes;
-                    (off - bytes, bytes)
-                })
-                .collect()
-        });
-        let (off, len) = spans[b.index()];
+        let (off, len, _) = self.code(module, f).blocks[b.index()];
         (self.func_base(f) + u64::from(off), len)
+    }
+
+    /// `(length, cycles)` of the op run starting at instruction `idx` of
+    /// block `b` of function `f`.
+    fn op_run(&self, module: &Module, f: FuncId, b: BlockId, idx: usize) -> (u32, u64) {
+        let code = self.code(module, f);
+        code.runs[code.blocks[b.index()].2 as usize + idx]
+    }
+}
+
+/// Cycles one executed `Inst::Op` of class `kind` costs.
+fn op_cycles(m: &MachineConfig, kind: OpKind) -> u64 {
+    match kind {
+        OpKind::Load => m.cycles_load,
+        OpKind::Fence => m.cycles_fence,
+        _ => m.cycles_simple,
     }
 }
 
@@ -416,7 +458,7 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
         let m = &cfg.machine;
         Simulator {
             module,
-            layout: CodeLayout::new(module),
+            layout: CodeLayout::new(module, cfg.machine),
             resolver,
             rng: SmallRng::seed_from_u64(seed),
             cfg,
@@ -569,31 +611,45 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
     }
 
     fn step(&mut self) -> Result<(), SimError> {
-        self.bump_step()?;
+        let module = self.module;
         let frame = self.frames.last().expect("step with empty stack");
-        let func = self.module.function(frame.func);
-        let block = func.block(frame.block);
-        if frame.idx < block.insts().len() {
-            let inst = block.insts()[frame.idx].clone();
-            self.frames.last_mut().expect("frame").idx += 1;
-            self.exec_inst(inst)
-        } else {
-            let term = block.term().clone();
-            self.exec_term(term)
+        if !self.cfg.collect_trace {
+            // A run of plain ops is charged in one step; the trace needs
+            // one event per op, and a step limit inside the run must trip
+            // at the same instruction, so both fall through to the
+            // per-instruction path.
+            let (n, cycles) = self
+                .layout
+                .op_run(module, frame.func, frame.block, frame.idx);
+            let n = u64::from(n);
+            if n > 0 && self.steps + n <= self.cfg.max_steps {
+                self.steps += n;
+                self.stats.insts += n;
+                self.stats.ops += n;
+                self.stats.cycles += cycles;
+                self.frames.last_mut().expect("frame").idx += n as usize;
+                return Ok(());
+            }
+        }
+        self.bump_step()?;
+        let frame = self.frames.last_mut().expect("frame");
+        let block = module.function(frame.func).block(frame.block);
+        match block.insts().get(frame.idx) {
+            Some(inst) => {
+                frame.idx += 1;
+                self.exec_inst(inst)
+            }
+            None => self.exec_term(block.term()),
         }
     }
 
-    fn exec_inst(&mut self, inst: Inst) -> Result<(), SimError> {
+    fn exec_inst(&mut self, inst: &'m Inst) -> Result<(), SimError> {
         let m = self.cfg.machine;
-        match inst {
+        match *inst {
             Inst::Op(kind) => {
                 self.record(TraceEvent::Op(kind));
                 self.stats.ops += 1;
-                self.stats.cycles += match kind {
-                    OpKind::Load => m.cycles_load,
-                    OpKind::Fence => m.cycles_fence,
-                    _ => m.cycles_simple,
-                };
+                self.stats.cycles += op_cycles(&m, kind);
                 Ok(())
             }
             Inst::ResolveTarget { site } => {
@@ -776,9 +832,9 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
         Ok(())
     }
 
-    fn exec_term(&mut self, term: Terminator) -> Result<(), SimError> {
+    fn exec_term(&mut self, term: &'m Terminator) -> Result<(), SimError> {
         let m = self.cfg.machine;
-        match term {
+        match *term {
             Terminator::Jump { target } => {
                 self.stats.cycles += m.cycles_branch;
                 self.goto(target);
@@ -809,13 +865,13 @@ impl<'m, R: TargetResolver> Simulator<'m, R> {
                 Ok(())
             }
             Terminator::Switch {
-                weights,
-                cases,
+                ref weights,
+                ref cases,
                 default_weight,
                 default,
                 via_table,
             } => {
-                let choice = self.pick_case(&weights, default_weight);
+                let choice = self.pick_case(weights, default_weight);
                 let (dest, matched_idx) = match choice {
                     Some(i) => (cases[i], i),
                     None => (default, cases.len()),
@@ -1391,9 +1447,9 @@ mod tests {
         let layout = &sim.layout;
         for id in m.func_ids() {
             assert_eq!(
-                layout.spans[id.index()].get().is_some(),
+                layout.code[id.index()].get().is_some(),
                 ran.contains(&id),
-                "{id}: spans exist exactly for functions that ran"
+                "{id}: code is laid out exactly for functions that ran"
             );
         }
 

@@ -2,8 +2,12 @@
 //! consistent with the calibrated defense deltas and with basic
 //! microarchitectural intuition.
 
+use pibe::experiments::Lab;
+use pibe::PibeConfig;
 use pibe_harden::{costs, DefenseSet};
 use pibe_ir::{Cond, FuncId, FunctionBuilder, Module, OpKind, SiteId};
+use pibe_kernel::measure::{run_latency, run_throughput};
+use pibe_kernel::workloads::{MacroBench, WorkloadSpec};
 use pibe_sim::{FixedResolver, MapResolver, SimConfig, SimError, Simulator};
 
 fn leaf_module(ops: usize) -> (Module, FuncId) {
@@ -240,4 +244,63 @@ fn branch_probability_drives_taken_frequency() {
         (avg - expected_extra).abs() < heavy * 0.2 + 8.0,
         "avg {avg} vs expected extra {expected_extra}"
     );
+}
+
+/// With trace collection off the simulator charges each run of plain ops in
+/// one step; with it on, it steps per instruction. Every LMBench benchmark
+/// and Nginx must see the same statistics both ways on the LTO, `lax` and
+/// `lax+all` images of a test kernel.
+#[test]
+fn op_runs_charge_the_same_stats_as_per_instruction_steps() {
+    let lab = Lab::test();
+    let images = [
+        ("lto", PibeConfig::lto()),
+        ("lax", PibeConfig::builder().lax().build()),
+        (
+            "lax+all",
+            PibeConfig::builder()
+                .lax()
+                .defenses(DefenseSet::ALL)
+                .build(),
+        ),
+    ];
+    let nginx = MacroBench::nginx(8);
+    for (name, config) in images {
+        let image = lab.image(&config);
+        let cfg = |collect_trace| SimConfig {
+            defenses: image.config.defenses,
+            arch: image.config.arch,
+            collect_trace,
+            ..SimConfig::default()
+        };
+        let module = &image.module;
+        for bench in &lab.suite {
+            let stats = |trace| {
+                let (_, stats, _) = run_latency(
+                    module,
+                    &lab.kernel,
+                    &lab.workload,
+                    *bench,
+                    cfg(trace),
+                    lab.seed,
+                )
+                .expect("latency benchmark runs");
+                stats
+            };
+            assert_eq!(stats(true), stats(false), "{name} {:?}", bench.syscall);
+        }
+        let stats = |trace| {
+            let (_, stats) = run_throughput(
+                module,
+                &lab.kernel,
+                &WorkloadSpec::nginx(),
+                &nginx,
+                cfg(trace),
+                lab.seed,
+            )
+            .expect("nginx runs");
+            stats
+        };
+        assert_eq!(stats(true), stats(false), "{name} nginx");
+    }
 }

@@ -48,6 +48,10 @@ pub use chaos::{corrupt_module, ModuleCorruption, SemanticCorruption};
 pub use config::{FailurePolicy, PibeConfig, PibeConfigBuilder, ValidationPolicy};
 pub use farm::{FarmStats, ImageFarm};
 pub use pibe_harden::{Arch, DefenseBackend, DefenseSet};
+/// The tracer every stage records into, for dependents that read a
+/// build's events (the difftest inliner replay) without depending on
+/// `pibe-trace` themselves.
+pub use pibe_trace as trace;
 pub use pipeline::{
     BuildMetrics, FaultLog, Image, ImageBuilder, ImageSize, PipelineError, ProfiledImageBuilder,
     Stage, StageFault, StageSnapshot,

@@ -44,8 +44,8 @@ pub use gen::{
     build_module, gen_case, generate_plans, plans, Case, FnPlan, GenConfig, ResolverSpec,
 };
 pub use oracle::{
-    oracle_config, oracle_config_for, profile_case, run_fast_path_oracle, run_oracle,
-    run_oracle_at, Divergence, OracleReport, Sabotage,
+    inline_replay, oracle_config, oracle_config_for, profile_case, run_fast_path_oracle,
+    run_inline_replay_oracle, run_oracle, run_oracle_at, Divergence, OracleReport, Sabotage,
 };
 pub use shrink::{shrink, ShrinkStats};
 pub use trace::{project, run_trace, Obs, Outcome, Projection};

@@ -11,14 +11,19 @@
 //!
 //! [`observe_stages`]: pibe::ProfiledImageBuilder::observe_stages
 
+use crate::epoch::bit_identical;
 use crate::gen::Case;
 use crate::trace::{project, run_trace, Obs, Projection, TRACE_MAX_STEPS};
+use pibe::trace as pibe_trace;
 use pibe::{Image, PibeConfig, SemanticCorruption, Stage};
 use pibe_harden::{Arch, DefenseSet};
-use pibe_ir::Module;
+use pibe_ir::{FuncId, Module, SiteId};
+use pibe_passes::{inline_call_site, promote_indirect_calls, run_inliner, SiteWeights};
+use pibe_profile::Profile;
 use pibe_sim::{SimConfig, Simulator};
 use std::cell::RefCell;
 use std::fmt;
+use std::sync::Mutex;
 
 /// A deliberately broken pass: the corruption is applied to the named
 /// stage's output *before* the transactional verifier and the snapshot, via
@@ -55,6 +60,15 @@ pub enum Divergence {
         /// The defenses the run was charged for.
         defenses: DefenseSet,
     },
+    /// The PIBE inliner's output differs from replaying its accepted
+    /// `(caller, site)` sequence through `inline_call_site`, which locates
+    /// every call with `Function::find_call`.
+    InlineReplay {
+        /// Inlines the inliner accepted (and the replay repeated).
+        accepted: usize,
+        /// The first function whose body differs.
+        function: String,
+    },
 }
 
 impl fmt::Display for Divergence {
@@ -81,6 +95,11 @@ impl fmt::Display for Divergence {
                 f,
                 "fast-path divergence on {module} (max_steps {max_steps}, defenses \
                  {defenses:?}): results or stats differ with trace collection off"
+            ),
+            Divergence::InlineReplay { accepted, function } => write!(
+                f,
+                "inliner divergence: replaying its {accepted} accepted inlines through \
+                 find_call gives a different {function}"
             ),
         }
     }
@@ -309,6 +328,98 @@ pub fn run_fast_path_oracle(case: &Case) -> Result<(), Divergence> {
     Ok(())
 }
 
+/// Runs the inliner replay oracle ([`inline_replay`]) on `case`, through
+/// its profile and [`oracle_config`]. Returns the number of inlines
+/// replayed.
+pub fn run_inline_replay_oracle(case: &Case) -> Result<usize, Divergence> {
+    inline_replay(&case.module, &profile_case(case), &oracle_config())
+}
+
+/// Checks the PIBE inliner against its reference call lookup.
+///
+/// Promotes `base`'s indirect calls as `config` would, runs
+/// [`run_inliner`] on a clone of the post-promotion module while recording
+/// its `inline.accept` events, then replays the accepted `(caller, site)`
+/// sequence through [`inline_call_site`] — which locates each call with
+/// `Function::find_call` — on a second clone. The inliner finds calls
+/// through position hints instead, so equal modules show that every hint
+/// named the call `find_call` picks. Returns the number of inlines
+/// replayed; a config without the inliner replays none.
+///
+/// Records through the process-global tracer and drains it: concurrent
+/// replays serialize on an internal lock, and anyone else reading the
+/// tracer at the same time must not.
+pub fn inline_replay(
+    base: &Module,
+    profile: &Profile,
+    config: &PibeConfig,
+) -> Result<usize, Divergence> {
+    let Some(inliner) = config.inliner else {
+        return Ok(0);
+    };
+    let mut weights = SiteWeights::from_profile(profile);
+    let mut promoted = base.clone();
+    if let Some(icp) = &config.icp {
+        promote_indirect_calls(&mut promoted, &mut weights, profile, icp);
+    }
+
+    let mut inlined = promoted.clone();
+    let accepted = {
+        static GATE: Mutex<()> = Mutex::new(());
+        let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let was_enabled = pibe_trace::enabled();
+        pibe_trace::set_enabled(true);
+        let _ = pibe_trace::take();
+        {
+            // Names this thread's track among any others recording.
+            let _span = pibe_trace::span("difftest.inline_replay");
+            run_inliner(&mut inlined, &weights, profile, &inliner);
+        }
+        let data = pibe_trace::take();
+        pibe_trace::set_enabled(was_enabled);
+        let track = data
+            .spans
+            .iter()
+            .find(|s| s.name == "difftest.inline_replay")
+            .map(|s| s.track);
+        data.events
+            .iter()
+            .filter(|e| Some(e.track) == track && e.name == "inline.accept")
+            .map(accepted_call)
+            .collect::<Result<Vec<_>, _>>()?
+    };
+
+    let mut replayed = promoted;
+    for &(caller, site) in &accepted {
+        inline_call_site(&mut replayed, caller, site)
+            .map_err(|e| Divergence::Build(format!("replaying an accepted inline failed: {e}")))?;
+    }
+    bit_identical(&inlined, &replayed).map_err(|m| Divergence::InlineReplay {
+        accepted: accepted.len(),
+        function: m
+            .first_divergence
+            .map_or_else(|| "module header".to_string(), |(_, name)| name),
+    })?;
+    Ok(accepted.len())
+}
+
+/// The `(caller, site)` an `inline.accept` event names.
+fn accepted_call(e: &pibe_trace::EventRecord) -> Result<(FuncId, SiteId), Divergence> {
+    let arg = |key: &str| {
+        e.args.iter().find_map(|(k, v)| match v {
+            pibe_trace::Value::U64(n) if *k == key => Some(*n),
+            _ => None,
+        })
+    };
+    match (arg("caller"), arg("site")) {
+        (Some(caller), Some(site)) => Ok((FuncId::from_raw(caller as u32), SiteId::from_raw(site))),
+        _ => Err(Divergence::Build(format!(
+            "inline.accept event without caller and site: {:?}",
+            e.args
+        ))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,6 +441,13 @@ mod tests {
     fn the_oracle_is_deterministic() {
         let case = gen_case(21, &GenConfig::default());
         assert_eq!(run_oracle(&case, None), run_oracle(&case, None));
+    }
+
+    #[test]
+    fn the_inliner_replays_to_the_same_module() {
+        let case = gen_case(9, &GenConfig::default());
+        let accepted = run_inline_replay_oracle(&case).expect("healthy case must replay");
+        assert!(accepted > 0, "the case must inline something");
     }
 
     #[test]

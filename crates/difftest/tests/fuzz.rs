@@ -6,7 +6,8 @@
 //! EXPERIMENTS.md, "Running the difftest fuzzer").
 
 use pibe_difftest::{
-    fixture, gen_case, run_fast_path_oracle, run_oracle, run_oracle_at, GenConfig,
+    fixture, gen_case, run_fast_path_oracle, run_inline_replay_oracle, run_oracle, run_oracle_at,
+    GenConfig,
 };
 use pibe_harden::Arch;
 
@@ -57,6 +58,28 @@ fn the_simulator_fast_path_matches_per_instruction_stepping_over_the_seed_window
             );
         }
     }
+}
+
+/// The inliner finds each popped call through a position hint; over the
+/// same window, its output must equal replaying its accepted inlines
+/// through `inline_call_site`, which finds them with `find_call`.
+#[test]
+fn the_inliner_matches_its_find_call_replay_over_the_seed_window() {
+    let base = env_u64("PIBE_DIFFTEST_BASE", 0);
+    let count = env_u64("PIBE_DIFFTEST_SEEDS", 500);
+    let cfg = GenConfig::default();
+    let mut accepted = 0usize;
+    for seed in base..base + count {
+        let case = gen_case(seed, &cfg);
+        match run_inline_replay_oracle(&case) {
+            Ok(n) => accepted += n,
+            Err(d) => panic!(
+                "seed {seed} diverged: {d}\n\nreplayable fixture:\n{}",
+                fixture::to_text(&case, &format!("diverging seed {seed}: {d}"))
+            ),
+        }
+    }
+    assert!(accepted > 0, "the window inlined nothing");
 }
 
 /// The same oracle under every non-default defense backend, over a window

@@ -324,8 +324,17 @@ impl Function {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn block_insts(&self, id: BlockId) -> &[Inst] {
+        &self.insts[self.block_range(id)]
+    }
+
+    /// The raw-pool positions of one block's instructions: index `i` of the
+    /// block is [`insts`](Function::insts)`()[range.start + i]`.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range.
+    pub fn block_range(&self, id: BlockId) -> std::ops::Range<usize> {
         let m = &self.blocks[id.index()];
-        &self.insts[m.start as usize..(m.start + m.len) as usize]
+        m.start as usize..(m.start + m.len) as usize
     }
 
     /// Mutable access to one block's instructions, in place. The block
@@ -415,8 +424,10 @@ impl Function {
     /// is a plain `Op` and cannot match; repeated inlining of one callee
     /// can duplicate a site, so there may be several), then each hit is
     /// mapped to its block and the earliest in block order wins — the
-    /// same answer a nested block walk would give, without paying the
-    /// per-block iteration overhead on the hot inline path.
+    /// same answer a nested block walk would give. This is O(pool) per
+    /// lookup: the PIBE inliner only falls back to it when its position
+    /// hint cannot prove the call unique, and uses it as the reference its
+    /// fast path must agree with.
     pub fn find_call(&self, site: SiteId) -> Option<(BlockId, usize, FuncId, u8)> {
         let mut best: Option<(usize, usize, FuncId, u8)> = None;
         for (pos, inst) in self.insts.iter().enumerate() {

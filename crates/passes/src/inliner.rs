@@ -25,12 +25,12 @@
 //! sites inside the 99% hottest prefix ("lax heuristics", §8.3), trading
 //! image size for the last points of latency.
 
-use crate::transform::{inline_call_site, InlineError};
+use crate::transform::splice_call;
 use crate::weights::SiteWeights;
-use pibe_ir::{size, FuncId, Inst, Module, SiteId};
+use pibe_ir::{size, BlockId, FuncId, Function, Inst, Module, SiteId};
 use pibe_profile::{Budget, BudgetRanking, Profile};
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Inliner tuning knobs, defaulting to the paper's experimentally selected
 /// values.
@@ -97,12 +97,109 @@ pub struct InlinerStats {
 
 /// A heap entry; ordered by weight (hottest first), ties broken by site then
 /// caller for determinism.
+///
+/// `block` and `pos` locate the call instance the candidate was queued for
+/// (see [`CallLocator`]). They come last, so they only order candidates
+/// that agree on everything else: copies of one site in one caller, which
+/// the pass treats alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Candidate {
     weight: u64,
     site: SiteId,
     caller: FuncId,
     callee: FuncId,
+    /// The instance's block when it was queued (a later split may have
+    /// moved it to a newer block).
+    block: BlockId,
+    /// The instance's raw pool position in the caller.
+    pos: u32,
+}
+
+/// Finds each popped call in near-constant time instead of rescanning its
+/// caller with [`Function::find_call`]. Pass-local: dropped when
+/// [`run_inliner`] returns.
+///
+/// Pool slots are never reused (a consumed call becomes a tombstone), so a
+/// candidate's slot that still holds its `Call { site }` is the very
+/// instance it was queued for. When that instance is the caller's only
+/// live copy of the site, it is the call `find_call` would pick; otherwise
+/// — several live copies, where block order decides, or a consumed slot —
+/// the locator falls back to `find_call`.
+#[derive(Debug)]
+struct CallLocator {
+    /// Live instances of each `(caller, site)`, for seeded callers.
+    live: HashMap<(FuncId, SiteId), u32>,
+    /// Whether a caller's calls have been counted into `live` (on its first
+    /// locate; nothing is inlined into a caller before that).
+    seeded: Vec<bool>,
+    /// Locates whose hinted block had been split, so the block table was
+    /// searched for the position.
+    block_searches: u64,
+    /// Locates that fell back to `find_call`.
+    fallbacks: u64,
+}
+
+impl CallLocator {
+    fn new(functions: usize) -> Self {
+        CallLocator {
+            live: HashMap::new(),
+            seeded: vec![false; functions],
+            block_searches: 0,
+            fallbacks: 0,
+        }
+    }
+
+    /// The call `cand` names in `f` (its caller), as `find_call` returns
+    /// it: `(block, index, callee, args)`.
+    fn locate(&mut self, f: &Function, cand: &Candidate) -> Option<(BlockId, usize, FuncId, u8)> {
+        if !std::mem::replace(&mut self.seeded[cand.caller.index()], true) {
+            // Flat pool scan: tombstones are plain ops and cannot match.
+            for inst in f.insts() {
+                if let Inst::Call { site, .. } = inst {
+                    *self.live.entry((cand.caller, *site)).or_insert(0) += 1;
+                }
+            }
+        }
+        let pos = cand.pos as usize;
+        let hinted = match f.insts().get(pos) {
+            Some(&Inst::Call { site, callee, args })
+                if site == cand.site && self.live.get(&(cand.caller, site)) == Some(&1) =>
+            {
+                // A split moves the tail of a block into a newer block.
+                let block = if f.block_range(cand.block).contains(&pos) {
+                    Some(cand.block)
+                } else {
+                    self.block_searches += 1;
+                    (0..f.num_blocks() as u32)
+                        .map(BlockId::from_raw)
+                        .find(|&b| f.block_range(b).contains(&pos))
+                };
+                block.map(|b| (b, pos - f.block_range(b).start, callee, args))
+            }
+            _ => None,
+        };
+        let found = hinted.or_else(|| {
+            self.fallbacks += 1;
+            f.find_call(cand.site)
+        });
+        debug_assert_eq!(
+            found,
+            f.find_call(cand.site),
+            "the located call must be the one find_call picks"
+        );
+        found
+    }
+
+    /// Records that `site` was inlined into `caller`, copying `copied` in.
+    fn inlined(&mut self, caller: FuncId, site: SiteId, copied: &[(SiteId, FuncId)]) {
+        *self
+            .live
+            .get_mut(&(caller, site))
+            .expect("a located call was counted when its caller was seeded") -= 1;
+        for (s, _) in copied {
+            *self.live.entry((caller, *s)).or_insert(0) += 1;
+        }
+    }
 }
 
 /// Runs the PIBE inliner over `module`.
@@ -136,25 +233,29 @@ pub fn run_inliner(
     let mut csr_callees: Vec<FuncId> = Vec::new();
     csr_offsets.push(0);
     for f in module.functions() {
-        // Flat pool scan: tombstones are plain ops and cannot match.
-        for inst in f.insts() {
-            if let Inst::Call { site, callee, .. } = inst {
-                csr_callees.push(*callee);
-                let w = weights.get(*site);
-                stats.total_weight += w;
-                stats.total_sites += 1;
-                if w > 0 {
-                    stats.profiled_sites += 1;
+        for block in (0..f.num_blocks() as u32).map(BlockId::from_raw) {
+            let range = f.block_range(block);
+            for (pos, inst) in range.clone().zip(&f.insts()[range]) {
+                if let Inst::Call { site, callee, .. } = inst {
+                    csr_callees.push(*callee);
+                    let w = weights.get(*site);
+                    stats.total_weight += w;
+                    stats.total_sites += 1;
+                    if w > 0 {
+                        stats.profiled_sites += 1;
+                    }
+                    initial.push((
+                        Candidate {
+                            weight: w,
+                            site: *site,
+                            caller: f.id(),
+                            callee: *callee,
+                            block,
+                            pos: pos as u32,
+                        },
+                        w,
+                    ));
                 }
-                initial.push((
-                    Candidate {
-                        weight: w,
-                        site: *site,
-                        caller: f.id(),
-                        callee: *callee,
-                    },
-                    w,
-                ));
             }
         }
         csr_offsets.push(csr_callees.len() as u32);
@@ -180,8 +281,11 @@ pub fn run_inliner(
     };
 
     let mut heap: BinaryHeap<Candidate> = selected.iter().map(|(c, _)| *c).collect();
+    let mut locator = CallLocator::new(module.len());
+    let mut heap_pops = 0u64;
 
     while let Some(cand) = heap.pop() {
+        heap_pops += 1;
         let caller_fn = module.function(cand.caller);
         let callee_fn = module.function(cand.callee);
 
@@ -219,8 +323,10 @@ pub fn run_inliner(
             }
         }
 
-        match inline_call_site(module, cand.caller, cand.site) {
-            Ok(info) => {
+        let call = locator.locate(module.function(cand.caller), &cand);
+        match call.map(|call| splice_call(module, cand.caller, cand.site, call)) {
+            Some(Ok(info)) => {
+                locator.inlined(cand.caller, cand.site, &info.copied_direct_sites);
                 // Only the caller's body changed; patch its cached cost by
                 // the exact splice delta.
                 if let Some(c) = cost_cache[cand.caller.index()] {
@@ -233,6 +339,10 @@ pub fn run_inliner(
                 stats.inlined_weight += cand.weight;
                 pibe_trace::event_args("inline.accept", || {
                     vec![
+                        (
+                            "caller",
+                            pibe_trace::Value::from(cand.caller.index() as u64),
+                        ),
                         ("site", pibe_trace::Value::from(cand.site.raw())),
                         ("weight", pibe_trace::Value::from(cand.weight)),
                         ("callee_cost", pibe_trace::Value::from(callee_cost as u64)),
@@ -243,7 +353,8 @@ pub fn run_inliner(
                 let invocations = profile.entry_count(cand.callee);
                 if invocations > 0 {
                     let ratio = cand.weight as f64 / invocations as f64;
-                    for (s, c) in info.copied_direct_sites {
+                    let copied = info.copied_direct_sites.iter().zip(&info.copied_direct_at);
+                    for (&(s, c), &(block, pos)) in copied {
                         let w = (weights.get(s) as f64 * ratio).round() as u64;
                         if w >= weight_floor && w > 0 {
                             stats.propagated_candidates += 1;
@@ -258,17 +369,26 @@ pub fn run_inliner(
                                 site: s,
                                 caller: cand.caller,
                                 callee: c,
+                                block,
+                                pos,
                             });
                         }
                     }
                 }
             }
-            Err(InlineError::SelfInline { .. }) | Err(InlineError::SiteNotFound { .. }) => {
+            // No such call, or a self-call.
+            None | Some(Err(_)) => {
                 stats.blocked_other_weight += cand.weight;
                 reject_event(&cand, "other", 0);
             }
         }
     }
+    // Where the pass's time goes: splices and pops, and how often a locate
+    // needed more than its hint.
+    pibe_trace::counter("inline.heap_pops", heap_pops);
+    pibe_trace::counter("inline.splices", stats.inlined_sites);
+    pibe_trace::counter("inline.block_searches", locator.block_searches);
+    pibe_trace::counter("inline.find_call_fallbacks", locator.fallbacks);
     stats
 }
 

@@ -20,6 +20,9 @@ pub struct InlinedCall {
     pub call_args: u8,
     /// Direct call sites copied into the caller: `(site, callee)`.
     pub copied_direct_sites: Vec<(SiteId, FuncId)>,
+    /// Where each of `copied_direct_sites` landed in the caller, index
+    /// aligned: `(block, raw pool position)` (the inliner's position hints).
+    pub(crate) copied_direct_at: Vec<(BlockId, u32)>,
     /// Indirect call sites copied into the caller.
     pub copied_indirect_sites: Vec<SiteId>,
 }
@@ -73,32 +76,59 @@ pub fn inline_call_site(
     site: SiteId,
 ) -> Result<InlinedCall, InlineError> {
     // Locate the call (first in block order; see `Function::find_call`).
-    let (bid, idx, callee, call_args) = module
+    let call = module
         .function(caller)
         .find_call(site)
         .ok_or(InlineError::SiteNotFound { caller, site })?;
+    splice_call(module, caller, site, call)
+}
+
+/// The splice behind [`inline_call_site`], for a call already located:
+/// `call` is `(block, index, callee, args)` as [`Function::find_call`]
+/// returns it. The PIBE inliner locates calls itself and enters here.
+///
+/// [`Function::find_call`]: pibe_ir::Function::find_call
+pub(crate) fn splice_call(
+    module: &mut Module,
+    caller: FuncId,
+    site: SiteId,
+    (bid, idx, callee, call_args): (BlockId, usize, FuncId, u8),
+) -> Result<InlinedCall, InlineError> {
     if callee == caller {
         return Err(InlineError::SelfInline { func: caller });
     }
 
     // Snapshot the callee via its sharing handle (no body copy) and record
-    // the sites we are about to copy, in block order.
+    // the sites we are about to copy, in block order. `splice_body` appends
+    // the callee's live instructions in block order at the end of the pool,
+    // its block `j` becoming the caller's `entry + j`, so each copied call's
+    // caller position is known before the splice.
     let callee_fn = module.function_arc(callee).clone();
+    let caller_fn = module.function(caller);
+    let nblocks = caller_fn.num_blocks() as u32;
+    let entry_id = BlockId::from_raw(nblocks + 1);
+    let mut pos = caller_fn.insts().len() as u32;
     let mut copied_direct = Vec::new();
+    let mut copied_direct_at = Vec::new();
     let mut copied_indirect = Vec::new();
-    for inst in callee_fn.iter_insts() {
-        match inst {
-            Inst::Call {
-                site: s, callee: c, ..
-            } => copied_direct.push((*s, *c)),
-            Inst::CallIndirect { site: s, .. } => copied_indirect.push(*s),
-            _ => {}
+    for (j, block) in callee_fn.iter_blocks() {
+        let at = BlockId::from_raw(entry_id.index() as u32 + j.index() as u32);
+        for inst in block.insts() {
+            match inst {
+                Inst::Call {
+                    site: s, callee: c, ..
+                } => {
+                    copied_direct.push((*s, *c));
+                    copied_direct_at.push((at, pos));
+                }
+                Inst::CallIndirect { site: s, .. } => copied_indirect.push(*s),
+                _ => {}
+            }
+            pos += 1;
         }
     }
 
     let caller_fn = module.function_mut(caller);
-    let nblocks = caller_fn.num_blocks() as u32;
-    let entry_id = BlockId::from_raw(nblocks + 1);
 
     // Split the calling block at the call instruction (the call slot is
     // tombstoned, everything after it becomes the continuation), then
@@ -120,6 +150,7 @@ pub fn inline_call_site(
         site,
         call_args,
         copied_direct_sites: copied_direct,
+        copied_direct_at,
         copied_indirect_sites: copied_indirect,
     })
 }
@@ -250,6 +281,13 @@ mod tests {
         assert_eq!(info.copied_direct_sites, vec![(s_inner, leaf)]);
         assert_eq!(info.copied_indirect_sites, vec![s_ind]);
         m.verify().unwrap();
+        // The position hints name the copied call's slot and block.
+        let f = m.function(root);
+        let [(block, pos)] = info.copied_direct_at[..] else {
+            panic!("one hint per copied direct site");
+        };
+        assert!(f.block_range(block).contains(&(pos as usize)));
+        assert_eq!(f.insts()[pos as usize].call_site(), Some(s_inner));
     }
 
     #[test]

@@ -232,35 +232,47 @@ impl fmt::Display for ProfileRepair {
 
 /// The module-side universe a profile is checked against: which sites are
 /// direct/indirect calls and how many functions exist.
+///
+/// The site sets are sorted, deduplicated vectors queried by binary search:
+/// site ids are arbitrary `u64`s (a text-parsed module can carry any), so
+/// a dense bitmap is out, and sorting beats hashing every site per build.
 struct SiteUniverse {
-    direct: HashSet<SiteId>,
-    indirect: HashSet<SiteId>,
+    direct: Vec<SiteId>,
+    indirect: Vec<SiteId>,
     funcs: usize,
 }
 
 impl SiteUniverse {
     fn of(module: &Module) -> Self {
-        let mut direct = HashSet::new();
-        let mut indirect = HashSet::new();
+        let mut direct = Vec::new();
+        let mut indirect = Vec::new();
         for f in module.functions() {
             // Flat pool scan: tombstones are plain ops and cannot match.
             for inst in f.insts() {
                 match inst {
-                    Inst::Call { site, .. } => {
-                        direct.insert(*site);
-                    }
-                    Inst::CallIndirect { site, .. } => {
-                        indirect.insert(*site);
-                    }
+                    Inst::Call { site, .. } => direct.push(*site),
+                    Inst::CallIndirect { site, .. } => indirect.push(*site),
                     _ => {}
                 }
             }
+        }
+        for sites in [&mut direct, &mut indirect] {
+            sites.sort_unstable();
+            sites.dedup();
         }
         SiteUniverse {
             direct,
             indirect,
             funcs: module.len(),
         }
+    }
+
+    fn has_direct(&self, site: SiteId) -> bool {
+        self.direct.binary_search(&site).is_ok()
+    }
+
+    fn has_indirect(&self, site: SiteId) -> bool {
+        self.indirect.binary_search(&site).is_ok()
     }
 
     fn has_func(&self, f: FuncId) -> bool {
@@ -285,7 +297,7 @@ impl Profile {
         let mut direct: Vec<(SiteId, u64)> = self.iter_direct().collect();
         direct.sort_by_key(|(s, _)| *s);
         for (site, count) in direct {
-            if !u.direct.contains(&site) {
+            if !u.has_direct(site) {
                 issues.push(ProfileIssue::DanglingDirectSite { site });
             }
             if count == u64::MAX {
@@ -296,7 +308,7 @@ impl Profile {
         let mut indirect: Vec<(SiteId, &[ValueProfileEntry])> = self.iter_indirect().collect();
         indirect.sort_by_key(|(s, _)| *s);
         for (site, entries) in indirect {
-            if !u.indirect.contains(&site) {
+            if !u.has_indirect(site) {
                 issues.push(ProfileIssue::DanglingIndirectSite { site });
             }
             if entries.is_empty() {
@@ -358,7 +370,7 @@ impl Profile {
         let (direct, indirect, entries, returns) = self.raw_mut();
 
         direct.retain(|site, _| {
-            let keep = u.direct.contains(site);
+            let keep = u.has_direct(*site);
             if !keep {
                 rep.dropped_direct_sites += 1;
             }
@@ -372,7 +384,7 @@ impl Profile {
         }
 
         indirect.retain(|site, _| {
-            let keep = u.indirect.contains(site);
+            let keep = u.has_indirect(*site);
             if !keep {
                 rep.dropped_indirect_sites += 1;
             }

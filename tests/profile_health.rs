@@ -91,6 +91,28 @@ fn dangling_direct_site_names_the_site_and_is_dropped() {
     );
 }
 
+/// Site ids are arbitrary `u64`s, not dense indices: a profile site far
+/// above every id the module has handed out is dangling like any other.
+#[test]
+fn dangling_direct_site_far_above_the_module_watermark_is_named_and_dropped() {
+    let (m, d, i, leaf) = module();
+    let far = SiteId::from_raw(m.peek_next_site() + (1 << 40));
+    let mut p = clean(d, i, leaf);
+    p.record_direct(far);
+
+    assert_eq!(
+        strict_error(&m, &p),
+        ProfileIssue::DanglingDirectSite { site: far }
+    );
+    assert_eq!(
+        repair_report(&m, &p),
+        Some(ProfileRepair {
+            dropped_direct_sites: 1,
+            ..ProfileRepair::default()
+        })
+    );
+}
+
 #[test]
 fn dangling_indirect_site_names_the_site_and_is_dropped() {
     let (m, d, i, leaf) = module();

@@ -269,6 +269,40 @@ fn lmbench_latencies_records_one_sim_run_span_per_benchmark() {
     assert_eq!(benches, expected);
 }
 
+/// A traced `lax` build reports the inliner's breakdown: heap pops,
+/// splices, and how often locating a popped call needed a block search or
+/// the `find_call` fallback.
+#[test]
+fn a_traced_lax_build_records_the_inliner_counters() {
+    let _g = lock();
+    let (kernel, profile) = lab();
+    pibe_trace::set_enabled(true);
+    let _ = pibe_trace::take();
+    let image = Image::builder(&kernel.module)
+        .profile(&profile)
+        .config(PibeConfig::lax(DefenseSet::ALL))
+        .threads(1)
+        .build()
+        .expect("traced build succeeds");
+    pibe_trace::set_enabled(false);
+    let data = pibe_trace::take();
+
+    let counter = |name| {
+        data.last_counter(name)
+            .unwrap_or_else(|| panic!("no {name}"))
+    };
+    let pops = counter("inline.heap_pops");
+    let splices = counter("inline.splices");
+    let inlined = image.inline_stats.expect("lax inlines").inlined_sites;
+    assert_eq!(splices, inlined, "one splice per inlined site");
+    assert!(
+        splices > 0 && splices <= pops,
+        "{splices} splices, {pops} pops"
+    );
+    assert!(counter("inline.block_searches") <= pops);
+    assert!(counter("inline.find_call_fallbacks") <= pops);
+}
+
 /// Tracing off is the default: a build with `PIBE_TRACE` unset records
 /// nothing at all.
 #[test]

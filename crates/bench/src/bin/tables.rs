@@ -363,10 +363,6 @@ fn build_report(lab: &Lab) -> pibe::report::Table {
         t.row(vec![format!("stage {stage} (ms)"), ms(ns)]);
     }
     t.row(vec!["total build time (ms)".into(), ms(metrics.total_ns)]);
-    t.row(vec![
-        "stage rollbacks".into(),
-        metrics.rollbacks.to_string(),
-    ]);
     // Fold tracer aggregates in when tracing is on: span volume and the
     // per-build wall-clock distribution the pipeline records.
     if pibe_trace::enabled() {

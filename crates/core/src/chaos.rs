@@ -8,8 +8,8 @@
 //!   panic five stages later;
 //! * sabotaging the module *between* stages via
 //!   [`ProfiledImageBuilder::inject_fault`](crate::ProfiledImageBuilder::inject_fault),
-//!   which simulates a buggy pass and exercises the transactional
-//!   snapshot/verify/rollback machinery.
+//!   which simulates a buggy pass and exercises the post-stage verify that
+//!   aborts the build.
 //!
 //! Every corruption is a pure function of `(module, seed)`, so chaos runs
 //! are exactly reproducible.
@@ -145,7 +145,7 @@ impl fmt::Display for ModuleCorruption {
 
 /// A *semantic* module corruption: the result still passes every structural
 /// check in [`Module::verify`], but behaves differently — the class of pass
-/// bug the transactional verify/rollback machinery is blind to, and the
+/// bug the post-stage verifier is blind to, and the
 /// reason the `pibe-difftest` differential oracle exists.
 ///
 /// Deliberately kept out of [`ModuleCorruption::ALL`] / `from_seed`: the

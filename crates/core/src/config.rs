@@ -9,11 +9,6 @@ use serde::{Deserialize, Serialize};
 /// function ids, truncated value profiles, saturated counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ValidationPolicy {
-    /// Refuse to build: the first detected
-    /// [`ProfileIssue`](pibe_profile::ProfileIssue) becomes a typed
-    /// [`PipelineError::ProfileInvalid`](crate::PipelineError::ProfileInvalid)
-    /// naming the faulty entity.
-    Strict,
     /// Repair the profile (drop/clamp offending entries) and build with the
     /// repaired copy; the [`ProfileRepair`](pibe_profile::ProfileRepair)
     /// report is attached to the resulting [`Image`](crate::Image). The
@@ -21,7 +16,7 @@ pub enum ValidationPolicy {
     /// build.
     #[default]
     Repair,
-    /// Skip validation *and* the transactional per-stage verification: the
+    /// Skip validation *and* the per-stage verification: the
     /// legacy fast path with a single end-of-pipeline verify. A corrupt
     /// profile can panic a pass under this policy — the
     /// [`ImageFarm`](crate::ImageFarm) contains such panics as
@@ -29,27 +24,9 @@ pub enum ValidationPolicy {
     TrustProfile,
 }
 
-/// What the pipeline does when a transform stage produces a structurally
-/// invalid module (detected by the per-stage verifier; the stage is always
-/// rolled back first).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FailurePolicy {
-    /// Fail the build with a typed
-    /// [`PipelineError::StageFailed`](crate::PipelineError::StageFailed).
-    /// The default: a buggy pass should be loud.
-    #[default]
-    Abort,
-    /// Record a [`StageFault`](crate::StageFault) and continue with the
-    /// remaining stages. The image degrades (fewer eliminated branches) but
-    /// every surviving indirect branch is still defended — only
-    /// *optimization* stages (icp, inline, dce) are skippable; a hardening
-    /// failure always aborts because skipping it would weaken defenses.
-    SkipStage,
-}
-
 /// One kernel build configuration: which optimizations run (and at what
-/// budget), which defenses harden the result, and how the build reacts to
-/// corrupt inputs and failing stages.
+/// budget), which defenses harden the result, and how the build treats its
+/// profile.
 ///
 /// Configurations are `Eq + Hash`: the [`ImageFarm`](crate::ImageFarm)
 /// content-keys its build cache on the full configuration, so two requests
@@ -77,8 +54,6 @@ pub struct PibeConfig {
     pub arch: Arch,
     /// How profile/module inconsistencies are handled.
     pub validation: ValidationPolicy,
-    /// How a failing transform stage is handled.
-    pub failure: FailurePolicy,
 }
 
 impl PibeConfig {
@@ -138,19 +113,6 @@ impl PibeConfig {
     /// wrapper for existing call sites.
     pub fn lax(defenses: DefenseSet) -> Self {
         Self::builder().lax().defenses(defenses).build()
-    }
-
-    /// Replaces the validation policy (how profile inconsistencies are
-    /// treated).
-    pub fn with_validation(mut self, validation: ValidationPolicy) -> Self {
-        self.validation = validation;
-        self
-    }
-
-    /// Replaces the failure policy (how failing stages are treated).
-    pub fn with_failure(mut self, failure: FailurePolicy) -> Self {
-        self.failure = failure;
-        self
     }
 
     /// Enables (or disables) dead-function elimination after the
@@ -215,7 +177,6 @@ impl Default for PibeConfigBuilder {
                 defenses: DefenseSet::NONE,
                 arch: Arch::X86,
                 validation: ValidationPolicy::default(),
-                failure: FailurePolicy::default(),
             },
         }
     }
@@ -289,12 +250,6 @@ impl PibeConfigBuilder {
     /// Sets the profile-validation policy.
     pub fn validation(mut self, validation: ValidationPolicy) -> Self {
         self.config.validation = validation;
-        self
-    }
-
-    /// Sets the stage-failure policy.
-    pub fn failure(mut self, failure: FailurePolicy) -> Self {
-        self.config.failure = failure;
         self
     }
 
@@ -392,16 +347,16 @@ mod tests {
     }
 
     #[test]
-    fn policies_default_to_repair_and_abort() {
+    fn validation_defaults_to_repair_and_keys_the_cache() {
         let c = PibeConfig::lax(DefenseSet::ALL);
         assert_eq!(c.validation, ValidationPolicy::Repair);
-        assert_eq!(c.failure, FailurePolicy::Abort);
-        let c = c
-            .with_validation(ValidationPolicy::Strict)
-            .with_failure(FailurePolicy::SkipStage);
-        assert_eq!(c.validation, ValidationPolicy::Strict);
-        assert_eq!(c.failure, FailurePolicy::SkipStage);
-        // Policies are part of the farm's cache key.
-        assert_ne!(c, PibeConfig::lax(DefenseSet::ALL));
+        let trusted = PibeConfig::builder()
+            .lax()
+            .defenses(DefenseSet::ALL)
+            .validation(ValidationPolicy::TrustProfile)
+            .build();
+        assert_eq!(trusted.validation, ValidationPolicy::TrustProfile);
+        // The policy is part of the farm's cache key.
+        assert_ne!(c, trusted);
     }
 }

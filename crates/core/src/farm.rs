@@ -131,7 +131,7 @@ impl ImageFarm {
     /// callers (losers of the race block, then share the winner's image).
     ///
     /// The build runs under `catch_unwind`: a pass that panics (possible
-    /// under [`ValidationPolicy::TrustProfile`](crate::ValidationPolicy)
+    /// under [`ValidationPolicy::TrustProfile`](crate::ValidationPolicy::TrustProfile)
     /// with a corrupt profile) is contained in this slot as
     /// [`PipelineError::StagePanicked`] instead of tearing down the worker
     /// pool, so one poisoned configuration cannot take a whole batch of
@@ -410,8 +410,11 @@ mod tests {
     fn worker_panic_is_contained_and_cached() {
         use crate::ValidationPolicy;
         let farm = poisoned_farm().with_threads(2);
-        let poisoned =
-            PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::TrustProfile);
+        let poisoned = PibeConfig::builder()
+            .lax()
+            .defenses(DefenseSet::ALL)
+            .validation(ValidationPolicy::TrustProfile)
+            .build();
         let healthy = [
             PibeConfig::lto(),
             PibeConfig::lto_with(DefenseSet::ALL),

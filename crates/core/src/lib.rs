@@ -27,11 +27,11 @@
 //!   evaluation section (run the `tables` binary from `pibe-bench`);
 //! * [`report`] renders the results as aligned text tables.
 //!
-//! The pipeline is fault tolerant: profiles are validated/repaired against
-//! the module per [`ValidationPolicy`], each transform stage runs
-//! transactionally (snapshot → run → verify → roll back on failure) per
-//! [`FailurePolicy`], and the [`chaos`] module injects deterministic module
-//! corruption to test exactly that machinery.
+//! The pipeline runs one policy: profiles are validated/repaired against
+//! the module per [`ValidationPolicy`], each transform stage's output is
+//! verified, and a stage that produced invalid IR aborts the build with
+//! [`PipelineError::StageFailed`]. The [`chaos`] module injects
+//! deterministic module corruption to test exactly that check.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -45,7 +45,7 @@ mod pipeline;
 pub mod report;
 
 pub use chaos::{corrupt_module, ModuleCorruption, SemanticCorruption};
-pub use config::{FailurePolicy, PibeConfig, PibeConfigBuilder, ValidationPolicy};
+pub use config::{PibeConfig, PibeConfigBuilder, ValidationPolicy};
 pub use farm::{FarmStats, ImageFarm};
 pub use pibe_harden::{Arch, DefenseBackend, DefenseSet};
 /// The tracer every stage records into, for dependents that read a
@@ -53,6 +53,6 @@ pub use pibe_harden::{Arch, DefenseBackend, DefenseSet};
 /// `pibe-trace` themselves.
 pub use pibe_trace as trace;
 pub use pipeline::{
-    BuildMetrics, FaultLog, Image, ImageBuilder, ImageSize, PipelineError, ProfiledImageBuilder,
-    Stage, StageFault, StageSnapshot,
+    BuildMetrics, Image, ImageBuilder, ImageSize, PipelineError, ProfiledImageBuilder, Stage,
+    StageSnapshot,
 };

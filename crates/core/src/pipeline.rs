@@ -9,29 +9,26 @@
 //!     .build()?;
 //! ```
 //!
-//! The pipeline is *fault tolerant*: the profile is validated (and, under
+//! The pipeline runs one policy: the profile is validated (and, under
 //! [`ValidationPolicy::Repair`], repaired) against the module before any
-//! pass consumes it, and each transform stage runs transactionally — the
-//! stage is verified after it runs and, if it produced structurally invalid
-//! IR, its output is discarded. What happens next is the
-//! [`FailurePolicy`]'s call: abort with a typed
-//! [`PipelineError::StageFailed`], or roll back to the pre-stage module,
-//! record a [`StageFault`] and continue with the remaining stages. A
-//! hardening failure always aborts — skipping the defense stage would
-//! silently weaken the image.
+//! pass consumes it, and each transform stage is verified after it runs. A
+//! stage that produced structurally invalid IR aborts the build with a
+//! typed [`PipelineError::StageFailed`]; its module is discarded. Keeping a
+//! service running past a failed build is the supervisor's job (the serve
+//! loop keeps its last-known-good image), not the pipeline's.
 //!
 //! The transform stages are rows of one table, `STAGES`; a single runner
-//! owns their timing, trace spans, verification and rollback.
+//! owns their timing, trace spans and verification.
 
 use crate::chaos::{ModuleCorruption, SemanticCorruption};
-use crate::config::{FailurePolicy, PibeConfig, ValidationPolicy};
+use crate::config::{PibeConfig, ValidationPolicy};
 use pibe_harden::{audit_backend, AuditError, DefenseBackend, HardenReport, SecurityAudit};
 use pibe_ir::{FuncId, Module, VerifyError};
 use pibe_passes::{
     promote_indirect_calls, run_inliner, strip_unreachable_threaded, DceMap, DceStats, IcpStats,
     InlinerStats, SiteWeights,
 };
-use pibe_profile::{Profile, ProfileIssue, ProfileRepair};
+use pibe_profile::{Profile, ProfileRepair};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
@@ -65,9 +62,6 @@ pub struct Image {
     /// What profile repair did, when [`ValidationPolicy::Repair`] had to
     /// fix the input profile (`None` when the profile was already clean).
     pub repair: Option<ProfileRepair>,
-    /// Stage faults survived during this build (empty unless a stage was
-    /// rolled back and skipped under [`FailurePolicy::SkipStage`]).
-    pub faults: FaultLog,
 }
 
 impl Image {
@@ -133,54 +127,6 @@ impl fmt::Display for Stage {
     }
 }
 
-/// One survived stage failure: the stage produced structurally invalid IR,
-/// was rolled back, and the build continued without it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageFault {
-    /// The stage that failed.
-    pub stage: Stage,
-    /// The verifier error its output exhibited.
-    pub error: VerifyError,
-}
-
-impl fmt::Display for StageFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} rolled back: {}", self.stage, self.error)
-    }
-}
-
-/// The stage faults survived during one build, in pipeline order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultLog {
-    faults: Vec<StageFault>,
-}
-
-impl FaultLog {
-    /// No faults recorded.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Number of faults recorded.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// The recorded faults, in pipeline order.
-    pub fn iter(&self) -> impl Iterator<Item = &StageFault> {
-        self.faults.iter()
-    }
-
-    /// Whether `stage` was rolled back during this build.
-    pub fn contains(&self, stage: Stage) -> bool {
-        self.faults.iter().any(|f| f.stage == stage)
-    }
-
-    fn push(&mut self, stage: Stage, error: VerifyError) {
-        self.faults.push(StageFault { stage, error });
-    }
-}
-
 /// Wall-clock nanoseconds spent in each pipeline stage of one build.
 ///
 /// Timings are measurement artifacts, not build outputs: two builds of the
@@ -209,14 +155,15 @@ pub struct BuildMetrics {
     pub verify_ns: u64,
     /// End-to-end build time (at least the sum of the stages).
     pub total_ns: u64,
-    /// Stages rolled back after failing post-stage verification (not a
-    /// timing; aggregated like one by the farm report).
+    /// Always 0: a stage that fails its post-stage verification aborts the
+    /// build, so nothing is rolled back. Kept because the benchmark reports
+    /// it as `build.rollbacks`; it goes with that metric.
     pub rollbacks: u64,
 }
 
 impl BuildMetrics {
     /// Stage labels and durations in pipeline order (excludes the total
-    /// and the rollback counter).
+    /// and `rollbacks`).
     pub fn stages(&self) -> [(&'static str, u64); 9] {
         [
             ("validate", self.validate_ns),
@@ -255,12 +202,8 @@ pub enum PipelineError {
     /// a silently malformed image would invalidate every downstream
     /// measurement.
     InvalidModule(VerifyError),
-    /// The profile failed validation against the module under
-    /// [`ValidationPolicy::Strict`]; the issue names the faulty entity.
-    ProfileInvalid(ProfileIssue),
-    /// A transform stage produced an invalid module and the
-    /// [`FailurePolicy`] (or the stage being `harden`, which never skips)
-    /// demanded an abort. The build's module is discarded.
+    /// A transform stage produced an invalid module. The build aborts and
+    /// its module is discarded.
     StageFailed {
         /// The stage whose output failed verification.
         stage: Stage,
@@ -287,13 +230,10 @@ impl fmt::Display for PipelineError {
             PipelineError::InvalidModule(e) => {
                 write!(f, "pipeline produced an invalid module: {e}")
             }
-            PipelineError::ProfileInvalid(issue) => {
-                write!(f, "profile failed validation: {issue}")
-            }
             PipelineError::StageFailed { stage, error } => {
                 write!(
                     f,
-                    "stage {stage} produced an invalid module (rolled back): {error}"
+                    "stage {stage} produced an invalid module (build aborted): {error}"
                 )
             }
             PipelineError::StagePanicked { message } => {
@@ -311,21 +251,18 @@ impl PipelineError {
     /// retry or continue past this failure while serving its last-known-good
     /// image.
     ///
-    /// *Recoverable* errors are faults of one build attempt — a stage rolled
-    /// back ([`Self::StageFailed`]) or a contained worker panic
-    /// ([`Self::StagePanicked`]); the base module and cumulative profile are
-    /// intact, so a later epoch (or a retry under a different policy) can
-    /// succeed. *Unrecoverable* errors indict the inputs or the toolchain
-    /// itself — a structurally invalid module ([`Self::InvalidModule`]), a
-    /// profile rejected under strict validation ([`Self::ProfileInvalid`]),
-    /// or an audit mismatch ([`Self::AuditFailed`]) — and will deterministically
-    /// recur until an operator intervenes.
+    /// *Recoverable* errors are faults of one build attempt — a stage that
+    /// produced invalid IR ([`Self::StageFailed`]) or a contained worker
+    /// panic ([`Self::StagePanicked`]); the base module and cumulative
+    /// profile are intact, so a later epoch can succeed. *Unrecoverable*
+    /// errors indict the inputs or the toolchain itself — a structurally
+    /// invalid module ([`Self::InvalidModule`]) or an audit mismatch
+    /// ([`Self::AuditFailed`]) — and will deterministically recur until an
+    /// operator intervenes.
     pub fn is_recoverable(&self) -> bool {
         match self {
             PipelineError::StageFailed { .. } | PipelineError::StagePanicked { .. } => true,
-            PipelineError::InvalidModule(_)
-            | PipelineError::ProfileInvalid(_)
-            | PipelineError::AuditFailed(_) => false,
+            PipelineError::InvalidModule(_) | PipelineError::AuditFailed(_) => false,
         }
     }
 }
@@ -419,8 +356,8 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
 
     /// Chaos hook: corrupts the module immediately after `stage` runs (the
     /// corruption only fires if the stage's pass actually executes under
-    /// the configuration), simulating a buggy pass for the transactional
-    /// rollback machinery. Deterministic in `seed`.
+    /// the configuration), simulating a buggy pass for the post-stage
+    /// verifier. Deterministic in `seed`.
     pub fn inject_fault(mut self, stage: Stage, fault: ModuleCorruption, seed: u64) -> Self {
         self.sabotage = Some((stage, fault, seed));
         self
@@ -443,11 +380,12 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
     }
 
     /// Registers an observer invoked with the module as committed after
-    /// each transform stage that ran (in pipeline order: icp, inline, dce,
-    /// harden). Rolled-back stages produce no snapshot — the observer sees
-    /// exactly the intermediate states the image was actually built
-    /// through. This is the differential-testing tap: an oracle can replay
-    /// the same workload against every snapshot and diff the traces.
+    /// each transform stage that ran and verified (in pipeline order: icp,
+    /// inline, dce, harden). A stage that fails its verify produces no
+    /// snapshot — the observer sees exactly the intermediate states the
+    /// image was actually built through. This is the differential-testing
+    /// tap: an oracle can replay the same workload against every snapshot
+    /// and diff the traces.
     pub fn observe_stages(mut self, observer: &'m dyn Fn(StageSnapshot<'_>)) -> Self {
         self.observer = Some(observer);
         self
@@ -482,18 +420,14 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
     /// promotion and the security inliner per the
     /// configuration (ICP first, as in the paper), dead-function elimination
     /// when enabled, then the defense transforms — each with a post-stage
-    /// verify and rollback-on-failure, audits the result, and verifies the
-    /// final module.
+    /// verify — audits the result, and verifies the final module.
     ///
     /// Under [`ValidationPolicy::TrustProfile`] both profile validation and
     /// the per-stage verification are skipped (the legacy fast path with a
     /// single end-of-pipeline verify).
     ///
     /// # Errors
-    /// * [`PipelineError::ProfileInvalid`] — strict validation rejected
-    ///   the profile;
-    /// * [`PipelineError::StageFailed`] — a stage produced invalid IR and
-    ///   the failure policy (or the stage being `harden`) aborts;
+    /// * [`PipelineError::StageFailed`] — a stage produced invalid IR;
     /// * [`PipelineError::InvalidModule`] — the input or final module
     ///   failed structural verification.
     pub fn build(self) -> Result<Image, PipelineError> {
@@ -501,7 +435,6 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
         let threads = self.threads;
         let build_start = Instant::now();
         let mut metrics = BuildMetrics::default();
-        let mut faults = FaultLog::default();
         let _build_span = pibe_trace::span_args("pipeline.build", || {
             vec![
                 ("icp", pibe_trace::Value::from(config.icp.is_some())),
@@ -520,7 +453,7 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
 
         let (profile, repair) = timed(&mut metrics.validate_ns, "stage.validate", || {
             self.validated_profile()
-        })?;
+        });
         let module = timed(&mut metrics.clone_ns, "stage.clone", || self.base.clone());
         // Input verification: reject corrupt bases before any pass touches
         // them, so a stage failure always implicates the stage.
@@ -545,9 +478,8 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
             threads,
         };
         for row in &STAGES {
-            self.run_stage(row, &mut work, (row.ns)(&mut metrics), &mut faults)?;
+            self.run_stage(row, &mut work, (row.ns)(&mut metrics))?;
         }
-        metrics.rollbacks = faults.len() as u64;
         let Built {
             module,
             icp_stats,
@@ -586,12 +518,11 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
             size,
             metrics,
             repair,
-            faults,
         })
     }
 
-    /// Per-stage verification is what makes rollback possible; trusting the
-    /// profile also means trusting the passes.
+    /// Whether each stage's output is verified; trusting the profile also
+    /// means trusting the passes.
     fn guarded(&self) -> bool {
         !matches!(self.config.validation, ValidationPolicy::TrustProfile)
     }
@@ -599,78 +530,44 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
     /// The profile the passes consume: the input itself, or under
     /// [`ValidationPolicy::Repair`] a repaired copy of a dirty one (with the
     /// repair report).
-    fn validated_profile(
-        &self,
-    ) -> Result<(Cow<'p, Profile>, Option<ProfileRepair>), PipelineError> {
+    fn validated_profile(&self) -> (Cow<'p, Profile>, Option<ProfileRepair>) {
         match self.config.validation {
-            ValidationPolicy::Strict => match self.profile.validate_against(self.base).first() {
-                Some(issue) => Err(PipelineError::ProfileInvalid(issue)),
-                None => Ok((Cow::Borrowed(self.profile), None)),
-            },
             ValidationPolicy::Repair if !self.profile.validate_against(self.base).is_clean() => {
                 let mut fixed = self.profile.clone();
                 let report = fixed.repair_against(self.base);
-                Ok((Cow::Owned(fixed), Some(report)))
+                (Cow::Owned(fixed), Some(report))
             }
             ValidationPolicy::Repair | ValidationPolicy::TrustProfile => {
-                Ok((Cow::Borrowed(self.profile), None))
+                (Cow::Borrowed(self.profile), None)
             }
         }
     }
 
-    /// Runs one row of [`STAGES`] transactionally: the pass, the chaos
-    /// hooks, the post-stage verify, and on failure either a rollback to
-    /// the pre-stage state (recorded in `faults`) or a typed abort. The
-    /// stage's time — its verify included — goes to `ns`, and its committed
-    /// output to the observer.
+    /// Runs one row of [`STAGES`]: the pass, the chaos hooks, and the
+    /// post-stage verify, which aborts the build with a typed
+    /// [`PipelineError::StageFailed`] on failure. The stage's time — its
+    /// verify included — goes to `ns`, and its verified output to the
+    /// observer.
     fn run_stage(
         &self,
         row: &StageRow,
         work: &mut Work<'_>,
         ns: &mut u64,
-        faults: &mut FaultLog,
     ) -> Result<(), PipelineError> {
         timed(ns, row.span, || {
             if !(row.enabled)(&self.config) {
                 return Ok(());
             }
-            let guarded = self.guarded();
-            // Only a failure the build survives needs the pre-stage state
-            // back. CoW makes the module snapshot O(#functions) pointer
-            // bumps, and the site weights (ICP rewrites them) roll back
-            // through their delta journal instead of a table copy.
-            let survivable =
-                guarded && row.skippable && matches!(self.config.failure, FailurePolicy::SkipStage);
-            let snapshot = survivable.then(|| {
-                work.weights.begin_undo();
-                work.built.clone()
-            });
             (row.run)(work, &self.config);
             self.sabotage(row.stage, &mut work.built.module);
-            if guarded {
-                if let Err(error) = work.built.module.verify_threaded(work.threads) {
-                    if row.skippable {
-                        pibe_trace::event_args("stage.rollback", || {
-                            vec![
-                                ("stage", pibe_trace::Value::from(row.stage.name())),
-                                ("error", pibe_trace::Value::from(error.to_string())),
-                            ]
-                        });
-                    }
-                    let Some(built) = snapshot else {
-                        return Err(PipelineError::StageFailed {
-                            stage: row.stage,
-                            error,
-                        });
-                    };
-                    work.built = built;
-                    work.weights.rollback_undo();
-                    faults.push(row.stage, error);
-                    return Ok(());
-                }
-            }
-            if snapshot.is_some() {
-                work.weights.commit_undo();
+            if self.guarded() {
+                work.built
+                    .module
+                    .verify_threaded(work.threads)
+                    .map_err(|error| PipelineError::StageFailed {
+                        stage: row.stage,
+                        error,
+                    })?;
             }
             let built = &work.built;
             self.notify(row.stage, &built.module, built.dce_map.as_ref());
@@ -698,8 +595,6 @@ struct Work<'p> {
 }
 
 /// What the stages have built so far: the module and each pass's report.
-/// A stage whose failure the build survives runs after a snapshot of it.
-#[derive(Clone)]
 struct Built {
     module: Module,
     icp_stats: Option<IcpStats>,
@@ -720,10 +615,6 @@ struct StageRow {
     enabled: fn(&PibeConfig) -> bool,
     /// The pass: rewrites the module and records its report in `built`.
     run: fn(&mut Work<'_>, &PibeConfig),
-    /// Whether a failure obeys [`PibeConfig::failure`]. The defense stage
-    /// always aborts: shipping an image whose hardening was skipped would
-    /// weaken every surviving indirect branch.
-    skippable: bool,
 }
 
 /// The transform stages in pipeline order (§4): promotion, inlining,
@@ -744,7 +635,6 @@ const STAGES: [StageRow; 4] = [
                 icp,
             ));
         },
-        skippable: true,
     },
     StageRow {
         stage: Stage::Inline,
@@ -756,7 +646,6 @@ const STAGES: [StageRow; 4] = [
             let b = &mut w.built;
             b.inline_stats = Some(run_inliner(&mut b.module, &w.weights, w.profile, inl));
         },
-        skippable: true,
     },
     StageRow {
         stage: Stage::Dce,
@@ -764,7 +653,6 @@ const STAGES: [StageRow; 4] = [
         ns: |m| &mut m.dce_ns,
         enabled: |c| c.dce,
         run: run_dce,
-        skippable: true,
     },
     StageRow {
         stage: Stage::Harden,
@@ -776,7 +664,6 @@ const STAGES: [StageRow; 4] = [
             b.harden_report =
                 pibe_harden::apply(&mut b.module, c.arch.backend(), c.defenses, w.threads);
         },
-        skippable: false,
     },
 ];
 
@@ -862,7 +749,6 @@ mod tests {
         assert_eq!(img.module.code_bytes(), k.module.code_bytes());
         assert!(img.icp_stats.is_none() && img.inline_stats.is_none());
         assert!(img.repair.is_none(), "clean profile needs no repair");
-        assert!(img.faults.is_empty());
     }
 
     #[test]
@@ -998,7 +884,6 @@ mod tests {
         assert!(m.harden_ns > 0 && m.verify_ns > 0);
         let stage_sum: u64 = m.stages().iter().map(|(_, ns)| ns).sum();
         assert!(m.total_ns >= stage_sum, "total covers the stages");
-        assert_eq!(m.rollbacks, 0, "clean build rolls nothing back");
 
         let mut agg = BuildMetrics::default();
         agg.accumulate(&m);
@@ -1033,29 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_validation_rejects_a_corrupt_profile_by_name() {
-        let (k, p) = profiled_kernel();
-        let mut seen = 0;
-        for seed in 0..40 {
-            let (bad, _kind, landed) = corrupt_profile(&p, &k.module, seed);
-            if !landed {
-                continue;
-            }
-            seen += 1;
-            let err = Image::builder(&k.module)
-                .profile(&bad)
-                .config(PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::Strict))
-                .build()
-                .expect_err("strict mode must reject the corrupt profile");
-            assert!(
-                matches!(err, PipelineError::ProfileInvalid(_)),
-                "seed {seed}: wanted ProfileInvalid, got {err}"
-            );
-        }
-        assert!(seen > 20, "corruptions must land: {seen}/40");
-    }
-
-    #[test]
     fn repair_mode_builds_through_a_corrupt_profile_and_reports_it() {
         let (k, p) = profiled_kernel();
         // Seed chosen so the corruption lands (determinism guarantees it
@@ -1070,81 +932,6 @@ mod tests {
         let repair = img.repair.expect("repair report attached");
         assert!(repair.changed(), "repair must have acted");
         img.module.verify().expect("image verifies");
-    }
-
-    /// Every stage × failure policy × validation policy through the one
-    /// stage runner: guarded builds roll back (`SkipStage`) or abort per
-    /// the policy, except `harden`, which always aborts; a trusted build
-    /// skips the post-stage verify, so the fault surfaces from the final
-    /// verify instead. The fault log, the rollback counter and the
-    /// observer's snapshots tell the same story.
-    #[test]
-    fn injected_stage_faults_follow_the_policy_table() {
-        use std::cell::RefCell;
-        let (k, p) = profiled_kernel();
-        let all = [Stage::Icp, Stage::Inline, Stage::Dce, Stage::Harden];
-        for stage in all {
-            for failure in [FailurePolicy::Abort, FailurePolicy::SkipStage] {
-                for validation in [ValidationPolicy::Repair, ValidationPolicy::TrustProfile] {
-                    let case = format!("{stage}/{failure:?}/{validation:?}");
-                    let seen = RefCell::new(Vec::new());
-                    let obs = |s: StageSnapshot<'_>| seen.borrow_mut().push(s.stage);
-                    let result = Image::builder(&k.module)
-                        .profile(&p)
-                        .config(
-                            PibeConfig::lax(DefenseSet::ALL)
-                                .with_dce(true)
-                                .with_failure(failure)
-                                .with_validation(validation),
-                        )
-                        // Seed 7 corrupts a function every later stage
-                        // keeps, so an unverified fault reaches the image.
-                        .inject_fault(stage, ModuleCorruption::DanglingBlock, 7)
-                        .observe_stages(&obs)
-                        .build();
-                    let seen = seen.into_inner();
-                    if validation == ValidationPolicy::TrustProfile {
-                        assert!(
-                            matches!(result, Err(PipelineError::InvalidModule(_))),
-                            "{case}: wanted InvalidModule, got {:?}",
-                            result.map(|_| "an image")
-                        );
-                        assert_eq!(seen, all, "{case}: unverified stages all commit");
-                    } else if failure == FailurePolicy::Abort || stage == Stage::Harden {
-                        match result {
-                            Err(PipelineError::StageFailed { stage: s, .. }) => {
-                                assert_eq!(s, stage, "{case}")
-                            }
-                            other => panic!(
-                                "{case}: wanted StageFailed, got {:?}",
-                                other.map(|_| "an image")
-                            ),
-                        }
-                        let before = all.iter().position(|&s| s == stage).unwrap();
-                        assert_eq!(seen, all[..before], "{case}: stages before the fault");
-                    } else {
-                        let img = result.unwrap_or_else(|e| panic!("{case}: {e}"));
-                        let faulted: Vec<Stage> = img.faults.iter().map(|f| f.stage).collect();
-                        assert_eq!(faulted, vec![stage], "{case}");
-                        assert_eq!(img.metrics.rollbacks, img.faults.len() as u64, "{case}");
-                        let committed: Vec<Stage> =
-                            all.into_iter().filter(|&s| s != stage).collect();
-                        assert_eq!(seen, committed, "{case}: rolled-back stage unobserved");
-                        // Only the rolled-back stage's report is dropped.
-                        let reports = [
-                            (Stage::Icp, img.icp_stats.is_some()),
-                            (Stage::Inline, img.inline_stats.is_some()),
-                            (Stage::Dce, img.dce_stats.is_some()),
-                            (Stage::Dce, img.dce_map.is_some()),
-                        ];
-                        for (s, kept) in reports {
-                            assert_eq!(kept, s != stage, "{case}: {s} report");
-                        }
-                        img.module.verify().expect("image verifies");
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -1213,9 +1000,9 @@ mod tests {
 
     #[test]
     fn semantic_faults_slip_past_the_stage_verifier() {
-        // The structural rollback machinery must NOT catch a semantic
-        // corruption: the build succeeds, nothing rolls back — which is
-        // precisely why the differential oracle exists.
+        // The post-stage verifier must NOT catch a semantic corruption: the
+        // build succeeds — which is precisely why the differential oracle
+        // exists.
         let (k, p) = profiled_kernel();
         let img = Image::builder(&k.module)
             .profile(&p)
@@ -1223,16 +1010,14 @@ mod tests {
             .inject_semantic_fault(Stage::Inline, SemanticCorruption::SwapBranchArms, 9)
             .build()
             .expect("semantically-wrong IR still builds");
-        assert!(img.faults.is_empty(), "no stage fault recorded");
-        assert_eq!(img.metrics.rollbacks, 0);
         img.module.verify().expect("corrupted image still verifies");
     }
 
     #[test]
     fn error_recoverability_matches_the_supervision_contract() {
         let (k, p) = profiled_kernel();
-        // A rolled-back stage under the abort policy: one bad build, inputs
-        // intact — recoverable.
+        // A stage that produced invalid IR: one bad build, inputs intact —
+        // recoverable.
         let err = Image::builder(&k.module)
             .profile(&p)
             .config(PibeConfig::lax(DefenseSet::ALL))
@@ -1245,40 +1030,16 @@ mod tests {
         }
         .is_recoverable());
 
-        // A corrupt profile under strict validation deterministically recurs
-        // until the operator intervenes — unrecoverable.
-        let (bad, _kind, landed) = corrupt_profile(&p, &k.module, 2);
+        // A corrupt base module deterministically recurs until the operator
+        // intervenes — unrecoverable.
+        let (bad, _kind, landed) = crate::corrupt_module(&k.module, 0);
         assert!(landed);
-        let err = Image::builder(&k.module)
-            .profile(&bad)
-            .config(PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::Strict))
+        let err = Image::builder(&bad)
+            .profile(&p)
+            .config(PibeConfig::lax(DefenseSet::ALL))
             .build()
-            .expect_err("strict validation rejects");
+            .expect_err("a corrupt base is rejected");
+        assert!(matches!(err, PipelineError::InvalidModule(_)), "{err}");
         assert!(!err.is_recoverable(), "{err}");
-    }
-
-    #[test]
-    fn skipped_stage_never_weakens_defenses() {
-        let (k, p) = profiled_kernel();
-        let cfg = PibeConfig::lax(DefenseSet::ALL);
-        let clean = Image::builder(&k.module)
-            .profile(&p)
-            .config(cfg)
-            .build()
-            .expect("builds");
-        let degraded = Image::builder(&k.module)
-            .profile(&p)
-            .config(cfg.with_failure(FailurePolicy::SkipStage))
-            .inject_fault(Stage::Icp, ModuleCorruption::DanglingCallee, 5)
-            .build()
-            .expect("skip policy builds");
-        assert!(degraded.faults.contains(Stage::Icp));
-        assert_eq!(degraded.audit.vulnerable_returns, 0);
-        assert!(
-            degraded.audit.vulnerable_icalls <= clean.audit.vulnerable_icalls,
-            "less optimization must not add vulnerable branches ({} > {})",
-            degraded.audit.vulnerable_icalls,
-            clean.audit.vulnerable_icalls
-        );
     }
 }

@@ -3,19 +3,18 @@
 //!
 //! The contract under test (see DESIGN.md, "Failure model"):
 //!
-//! * **Repair + SkipStage** (the lenient end): the pipeline never panics
-//!   and always yields a verifier-clean image whose security audit shows
-//!   every remaining non-asm indirect branch defended — corruption may
-//!   degrade *optimization*, never *protection*.
-//! * **Strict + Abort** (the strict end): every corruption is refused with
-//!   a typed [`PipelineError`] naming the faulty entity.
+//! * A corrupt profile is repaired: the pipeline never panics and always
+//!   yields a verifier-clean image whose security audit shows every
+//!   remaining non-asm indirect branch defended — corruption may degrade
+//!   *optimization*, never *protection*.
+//! * A corrupt base module, or a stage that produces invalid IR, aborts the
+//!   build with a typed [`PipelineError`]; no image leaves the pipeline
+//!   unverified.
 //! * A farm batch containing one panicking configuration still completes
 //!   every other configuration in the batch.
 
-use pibe::{corrupt_module, Image};
-use pibe::{
-    FailurePolicy, ImageFarm, ModuleCorruption, PibeConfig, PipelineError, Stage, ValidationPolicy,
-};
+use pibe::{corrupt_module, Image, StageSnapshot};
+use pibe::{ImageFarm, ModuleCorruption, PibeConfig, PipelineError, Stage, ValidationPolicy};
 use pibe_harden::DefenseSet;
 use pibe_ir::{Inst, Module};
 use pibe_kernel::{
@@ -24,6 +23,7 @@ use pibe_kernel::{
     Kernel, KernelSpec,
 };
 use pibe_profile::{corrupt_profile, Profile, ProfileChaos};
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Base offset applied to every seed window, so CI can sweep disjoint
@@ -82,15 +82,15 @@ fn assert_fully_defended(img: &Image, reference: &Image, context: &str) {
 }
 
 #[test]
-fn repair_skipstage_survives_hundreds_of_profile_corruptions() {
+fn repair_survives_hundreds_of_profile_corruptions() {
     let (module, profile) = fixture();
-    let cfg = PibeConfig::lax(DefenseSet::ALL).with_failure(FailurePolicy::SkipStage);
+    let cfg = PibeConfig::lax(DefenseSet::ALL);
     let reference = Image::builder(module)
         .profile(profile)
         .config(cfg)
         .build()
         .expect("clean profile builds");
-    assert!(reference.repair.is_none() && reference.faults.is_empty());
+    assert!(reference.repair.is_none());
 
     let base = seed_base();
     let mut landed_seeds = 0;
@@ -104,7 +104,7 @@ fn repair_skipstage_survives_hundreds_of_profile_corruptions() {
             .profile(&bad)
             .config(cfg)
             .build()
-            .unwrap_or_else(|e| panic!("seed {seed} ({kind}): lenient build must succeed: {e}"));
+            .unwrap_or_else(|e| panic!("seed {seed} ({kind}): repaired build must succeed: {e}"));
         assert_fully_defended(&img, &reference, &format!("seed {seed} ({kind})"));
         // Erase leaves a (validly) empty profile; every other corruption
         // is something repair acted on and must report.
@@ -114,39 +114,6 @@ fn repair_skipstage_survives_hundreds_of_profile_corruptions() {
                 .unwrap_or_else(|| panic!("seed {seed} ({kind}): repair report expected"));
             assert!(repair.changed(), "seed {seed} ({kind}): repair acted");
         }
-    }
-    assert!(
-        landed_seeds >= 200,
-        "the suite must land at least 200 profile corruptions: {landed_seeds}"
-    );
-}
-
-#[test]
-fn strict_abort_rejects_every_profile_corruption_with_a_typed_error() {
-    let (module, profile) = fixture();
-    let cfg = PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::Strict);
-    let base = seed_base();
-    let mut landed_seeds = 0;
-    for seed in base..base + 260 {
-        let (bad, kind, landed) = corrupt_profile(profile, module, seed);
-        if !landed {
-            continue;
-        }
-        landed_seeds += 1;
-        let err = match Image::builder(module).profile(&bad).config(cfg).build() {
-            Ok(_) => panic!("seed {seed} ({kind}): strict build must fail"),
-            Err(e) => e,
-        };
-        let PipelineError::ProfileInvalid(issue) = &err else {
-            panic!("seed {seed} ({kind}): wanted ProfileInvalid, got {err}");
-        };
-        // The error names the faulty entity (site, function, or the empty
-        // profile itself).
-        let msg = issue.to_string();
-        assert!(
-            !msg.is_empty(),
-            "seed {seed} ({kind}): issue must describe the fault"
-        );
     }
     assert!(
         landed_seeds >= 200,
@@ -165,22 +132,16 @@ fn corrupt_base_modules_are_rejected_before_any_pass_runs() {
             continue;
         }
         landed_seeds += 1;
-        for cfg in [
-            PibeConfig::lax(DefenseSet::ALL),
-            PibeConfig::lax(DefenseSet::ALL)
-                .with_validation(ValidationPolicy::Strict)
-                .with_failure(FailurePolicy::SkipStage),
-        ] {
-            let err = match Image::builder(&bad).profile(profile).config(cfg).build() {
-                Ok(_) => panic!("seed {seed} ({kind}): corrupt base must be rejected"),
-                Err(e) => e,
-            };
-            assert!(
-                matches!(err, PipelineError::InvalidModule(_)),
-                "seed {seed} ({kind}): wanted InvalidModule, got {err}"
-            );
-            assert!(!err.to_string().is_empty());
-        }
+        let cfg = PibeConfig::lax(DefenseSet::ALL);
+        let err = match Image::builder(&bad).profile(profile).config(cfg).build() {
+            Ok(_) => panic!("seed {seed} ({kind}): corrupt base must be rejected"),
+            Err(e) => e,
+        };
+        assert!(
+            matches!(err, PipelineError::InvalidModule(_)),
+            "seed {seed} ({kind}): wanted InvalidModule, got {err}"
+        );
+        assert!(!err.to_string().is_empty());
     }
     assert!(
         landed_seeds >= 60,
@@ -188,74 +149,79 @@ fn corrupt_base_modules_are_rejected_before_any_pass_runs() {
     );
 }
 
+/// The pipeline's one stage-failure policy, as a table over every stage
+/// and both validation policies, with a structural fault injected right
+/// after the stage:
+///
+/// * `Repair` verifies after every stage, so the build aborts with
+///   `StageFailed` naming the faulted stage, and the observer saw exactly
+///   the stages before it;
+/// * `TrustProfile` skips the post-stage verify, so the same fault reaches
+///   the final verify as `InvalidModule`, after every stage committed.
+///
+/// `Repair` also sweeps a seed window of every corruption kind. A kind that
+/// finds nothing to corrupt at a stage leaves the build clean.
 #[test]
-fn injected_optimization_faults_skip_or_abort_by_policy() {
+fn injected_stage_faults_abort_the_build_naming_the_stage() {
     let (module, profile) = fixture();
-    let reference = Image::builder(module)
-        .profile(profile)
-        .config(PibeConfig::lax(DefenseSet::ALL))
-        .build()
-        .expect("clean build");
-
+    let stages = [Stage::Icp, Stage::Inline, Stage::Dce, Stage::Harden];
+    let config = PibeConfig::builder()
+        .lax()
+        .defenses(DefenseSet::ALL)
+        .dce(true);
+    // Seed 7 corrupts a function every later stage keeps, so an unverified
+    // fault reaches the final verify.
+    let pinned = (ModuleCorruption::DanglingBlock, 7);
     let base = seed_base();
-    let mut landed_seeds = 0;
-    for seed in base..base + 24 {
-        let stage = [Stage::Icp, Stage::Inline][(seed % 2) as usize];
-        let fault = ModuleCorruption::from_seed(seed);
+    let mut sweep = vec![pinned];
+    sweep.extend((base..base + 24).map(|seed| (ModuleCorruption::from_seed(seed), seed)));
+    let table = [
+        (ValidationPolicy::Repair, &sweep[..]),
+        (ValidationPolicy::TrustProfile, &[pinned][..]),
+    ];
 
-        // Lenient: the stage rolls back and the build completes defended.
-        let img = Image::builder(module)
-            .profile(profile)
-            .config(PibeConfig::lax(DefenseSet::ALL).with_failure(FailurePolicy::SkipStage))
-            .inject_fault(stage, fault, seed)
-            .build()
-            .unwrap_or_else(|e| panic!("seed {seed} ({stage}/{fault}): skip must build: {e}"));
-        if img.faults.is_empty() {
-            // The corruption found nothing to corrupt at this stage.
-            continue;
-        }
-        landed_seeds += 1;
-        assert!(img.faults.contains(stage), "seed {seed}: fault on record");
-        assert!(img.metrics.rollbacks >= 1);
-        assert_fully_defended(&img, &reference, &format!("seed {seed} ({stage}/{fault})"));
-
-        // Strict: the same fault is a typed abort naming the stage.
-        let err = Image::builder(module)
-            .profile(profile)
-            .config(PibeConfig::lax(DefenseSet::ALL))
-            .inject_fault(stage, fault, seed)
-            .build()
-            .expect_err("abort policy must surface the fault");
-        match err {
-            PipelineError::StageFailed { stage: s, .. } => assert_eq!(s, stage),
-            other => panic!("seed {seed}: wanted StageFailed, got {other}"),
-        }
-    }
-    assert!(
-        landed_seeds >= 12,
-        "most injected faults must land: {landed_seeds}/24"
-    );
-}
-
-#[test]
-fn hardening_faults_always_abort_even_under_skipstage() {
-    let (module, profile) = fixture();
-    let base = seed_base();
-    for seed in base + 100..base + 108 {
-        // DanglingBlock always lands (every function has blocks).
-        for failure in [FailurePolicy::Abort, FailurePolicy::SkipStage] {
-            let err = Image::builder(module)
-                .profile(profile)
-                .config(PibeConfig::lax(DefenseSet::ALL).with_failure(failure))
-                .inject_fault(Stage::Harden, ModuleCorruption::DanglingBlock, seed)
-                .build()
-                .expect_err("a hardening fault must abort under every policy");
-            match err {
-                PipelineError::StageFailed { stage, .. } => assert_eq!(stage, Stage::Harden),
-                other => panic!("seed {seed}: wanted StageFailed(harden), got {other}"),
+    let mut landed = 0;
+    for (before, &stage) in stages.iter().enumerate() {
+        for (validation, faults) in table {
+            for &(fault, seed) in faults {
+                let case = format!("{stage}/{validation:?}/{fault}/seed {seed}");
+                let seen = RefCell::new(Vec::new());
+                let observe = |s: StageSnapshot<'_>| seen.borrow_mut().push(s.stage);
+                let result = Image::builder(module)
+                    .profile(profile)
+                    .config(config.validation(validation).build())
+                    .inject_fault(stage, fault, seed)
+                    .observe_stages(&observe)
+                    .build();
+                let committed = match (validation, result) {
+                    // DanglingBlock always lands: every function has blocks.
+                    (ValidationPolicy::Repair, Ok(img))
+                        if fault != ModuleCorruption::DanglingBlock =>
+                    {
+                        img.module
+                            .verify()
+                            .unwrap_or_else(|e| panic!("{case}: {e}"));
+                        continue;
+                    }
+                    (
+                        ValidationPolicy::Repair,
+                        Err(PipelineError::StageFailed { stage: s, .. }),
+                    ) if s == stage => &stages[..before],
+                    (ValidationPolicy::TrustProfile, Err(PipelineError::InvalidModule(_))) => {
+                        &stages[..]
+                    }
+                    (_, other) => panic!("{case}: got {:?}", other.map(|_| "an image")),
+                };
+                assert_eq!(seen.into_inner(), committed, "{case}: observed stages");
+                landed += 1;
             }
         }
     }
+    // Per stage: both pinned rows, and at least half of the 24 swept seeds.
+    assert!(
+        landed >= stages.len() * (2 + 12),
+        "most injected faults must land: {landed}"
+    );
 }
 
 #[test]
@@ -272,7 +238,11 @@ fn farm_batch_with_one_panicking_config_completes_every_other() {
         .expect("some seed plants a dangling target");
     let farm = ImageFarm::new(module.clone(), poisoned_profile).with_threads(3);
 
-    let poisoned = PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::TrustProfile);
+    let poisoned = PibeConfig::builder()
+        .lax()
+        .defenses(DefenseSet::ALL)
+        .validation(ValidationPolicy::TrustProfile)
+        .build();
     let healthy = [
         PibeConfig::lto(),
         PibeConfig::lto_with(DefenseSet::ALL),

@@ -37,11 +37,11 @@ use std::sync::Arc;
 /// `Module::clone` is O(#functions) pointer bumps with full structural
 /// sharing, and only [`Module::function_mut`] (via [`Arc::make_mut`])
 /// materialises a private copy of the one function actually written. This is
-/// what makes the pipeline's transactional stage snapshots, rollback, and the
-/// farm's per-build base clones proportional to *hot work* instead of module
-/// size. Passes must therefore check read-only whether a function needs
-/// changing before calling `function_mut` — an unconditional write walk
-/// would degrade CoW back into a deep copy.
+/// what makes the pipeline's and the farm's per-build base clones
+/// proportional to *hot work* instead of module size. Passes must therefore
+/// check read-only whether a function needs changing before calling
+/// `function_mut` — an unconditional write walk would degrade CoW back into
+/// a deep copy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Module {
     name: String,

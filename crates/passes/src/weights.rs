@@ -4,10 +4,6 @@ use pibe_ir::SiteId;
 use pibe_profile::Profile;
 use std::collections::HashMap;
 
-/// An undo journal entry: the state `site` had before it was overwritten
-/// (`None` when the site was previously unknown).
-type UndoEntry = (SiteId, Option<u64>);
-
 /// Execution weights per direct call site, lifted from a [`Profile`] and
 /// kept up to date across transformations.
 ///
@@ -18,9 +14,6 @@ type UndoEntry = (SiteId, Option<u64>);
 #[derive(Debug, Clone, Default)]
 pub struct SiteWeights {
     map: HashMap<SiteId, u64>,
-    /// While a transaction is open ([`SiteWeights::begin_undo`]), the prior
-    /// value of every overwritten site, oldest first.
-    journal: Option<Vec<UndoEntry>>,
 }
 
 impl SiteWeights {
@@ -33,60 +26,6 @@ impl SiteWeights {
     pub fn from_profile(profile: &Profile) -> Self {
         SiteWeights {
             map: profile.iter_direct().collect(),
-            journal: None,
-        }
-    }
-
-    /// Opens an undo transaction: every subsequent [`SiteWeights::set`]
-    /// records the site's prior state until [`SiteWeights::commit_undo`]
-    /// or [`SiteWeights::rollback_undo`] closes the transaction.
-    ///
-    /// This is the cheap alternative to cloning the whole table for a
-    /// transactional pipeline stage: the journal is proportional to the
-    /// sites a pass actually touched, not to the profile.
-    ///
-    /// # Panics
-    /// Panics if a transaction is already open (transactions do not nest —
-    /// each pipeline stage closes its own).
-    pub fn begin_undo(&mut self) {
-        assert!(
-            self.journal.is_none(),
-            "undo transactions do not nest; commit or roll back first"
-        );
-        self.journal = Some(Vec::new());
-    }
-
-    /// Closes the open transaction, keeping all changes made since
-    /// [`SiteWeights::begin_undo`] and discarding the journal.
-    ///
-    /// # Panics
-    /// Panics if no transaction is open.
-    pub fn commit_undo(&mut self) {
-        self.journal.take().expect("commit_undo without begin_undo");
-    }
-
-    /// Closes the open transaction, restoring every site changed since
-    /// [`SiteWeights::begin_undo`] to its prior state (inserted sites are
-    /// removed again, overwritten sites get their old weight back).
-    ///
-    /// # Panics
-    /// Panics if no transaction is open.
-    pub fn rollback_undo(&mut self) {
-        let journal = self
-            .journal
-            .take()
-            .expect("rollback_undo without begin_undo");
-        // Newest first, so a site set twice lands back on its original
-        // pre-transaction state.
-        for (site, old) in journal.into_iter().rev() {
-            match old {
-                Some(w) => {
-                    self.map.insert(site, w);
-                }
-                None => {
-                    self.map.remove(&site);
-                }
-            }
         }
     }
 
@@ -97,10 +36,7 @@ impl SiteWeights {
 
     /// Sets the weight of a (typically freshly created) site.
     pub fn set(&mut self, site: SiteId, weight: u64) {
-        let old = self.map.insert(site, weight);
-        if let Some(journal) = &mut self.journal {
-            journal.push((site, old));
-        }
+        self.map.insert(site, weight);
     }
 
     /// Iterates over `(site, weight)` pairs.
@@ -135,44 +71,6 @@ mod tests {
         assert_eq!(w.get(s), 2);
         assert_eq!(w.get(SiteId::from_raw(5)), 0, "indirect counts excluded");
         assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn rollback_restores_inserts_and_overwrites() {
-        let mut w = SiteWeights::new();
-        let a = SiteId::from_raw(1);
-        let b = SiteId::from_raw(2);
-        w.set(a, 10);
-        w.begin_undo();
-        w.set(a, 99); // overwrite
-        w.set(b, 7); // fresh insert
-        w.set(a, 100); // second overwrite of the same site
-        w.rollback_undo();
-        assert_eq!(w.get(a), 10, "overwritten site restored");
-        assert_eq!(w.get(b), 0, "inserted site removed again");
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn commit_keeps_transaction_changes() {
-        let mut w = SiteWeights::new();
-        let a = SiteId::from_raw(1);
-        w.begin_undo();
-        w.set(a, 5);
-        w.commit_undo();
-        assert_eq!(w.get(a), 5);
-        // A later rollback-free transaction starts clean.
-        w.begin_undo();
-        w.rollback_undo();
-        assert_eq!(w.get(a), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "do not nest")]
-    fn nested_transactions_panic() {
-        let mut w = SiteWeights::new();
-        w.begin_undo();
-        w.begin_undo();
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! Production PGO pipelines meet corrupt inputs constantly: profiles
 //! collected on drifted builds, truncated documents, saturating merges.
 //! This module *manufactures* those inputs, deterministically from a seed,
-//! so the pipeline's validation/repair/rollback machinery can be exercised
+//! so the pipeline's validation and repair can be exercised
 //! by the thousands in tests (`crates/core/tests/chaos.rs`) without any
 //! non-determinism.
 //!
 //! Each [`ProfileChaos`] kind plants exactly the class of corruption one
-//! [`ProfileIssue`](crate::ProfileIssue) detector exists for, so strict
-//! validation is guaranteed to catch every injected fault.
+//! [`ProfileIssue`](crate::ProfileIssue) detector exists for, so
+//! validation is guaranteed to flag every injected fault.
 
 use crate::profile::{Profile, ValueProfileEntry};
 use pibe_ir::{FuncId, Module, SiteId};

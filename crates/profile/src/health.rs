@@ -16,8 +16,8 @@
 //!   profiles, which are safe to optimize with — the passes simply find no
 //!   candidates).
 //!
-//! The pipeline chooses between these behaviours with its
-//! `ValidationPolicy` knob (strict / repair / trust).
+//! The pipeline repairs by default; its `ValidationPolicy::TrustProfile`
+//! skips both and consumes the profile as given.
 
 use crate::profile::{Profile, ValueProfileEntry};
 use pibe_ir::{FuncId, Inst, Module, SiteId};
@@ -33,7 +33,7 @@ use std::fmt;
 pub const COUNT_CLAMP: u64 = 1 << 40;
 
 /// One inconsistency between a profile and the module it is replayed
-/// against. Every variant names the faulty entity so strict-mode errors are
+/// against. Every variant names the faulty entity so validation reports are
 /// actionable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProfileIssue {
@@ -160,7 +160,7 @@ impl ProfileHealth {
         &self.issues
     }
 
-    /// The first (reported) issue, if any — what strict mode surfaces.
+    /// The first issue, if any.
     pub fn first(&self) -> Option<ProfileIssue> {
         self.issues.first().copied()
     }

@@ -3,7 +3,7 @@
 //! last-known-good rollback — all driven through injected [`Rebuilder`]s.
 
 use pibe::{DefenseSet, Image, PibeConfig, PipelineError};
-use pibe_ir::{FunctionBuilder, Module, OpKind, SiteId};
+use pibe_ir::{FunctionBuilder, Module, OpKind, SiteId, VerifyError};
 use pibe_profile::{Profile, ProfileIssue};
 use pibe_serve::{
     EpochOutcome, PibeService, PipelineRebuilder, ProfileDelta, QuarantineReason, Rebuilder,
@@ -158,7 +158,9 @@ impl Rebuilder for FatalRebuilder {
         _config: &PibeConfig,
         _threads: usize,
     ) -> Result<Image, PipelineError> {
-        Err(PipelineError::ProfileInvalid(ProfileIssue::Empty))
+        Err(PipelineError::InvalidModule(VerifyError::EmptyFunction {
+            func: pibe_ir::FuncId::from_raw(0),
+        }))
     }
 }
 

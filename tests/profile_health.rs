@@ -1,10 +1,10 @@
-//! Pipeline-level coverage of every [`ProfileIssue`] variant: under
-//! [`ValidationPolicy::Strict`] the build fails with a typed error *naming
-//! the faulty entity*; under the default [`ValidationPolicy::Repair`] the
-//! build succeeds and the attached [`ProfileRepair`] reports exactly what
-//! was fixed.
+//! Pipeline-level coverage of every [`ProfileIssue`] variant: validation
+//! reports a typed issue *naming the faulty entity*; under the default
+//! [`ValidationPolicy::Repair`](pibe::ValidationPolicy::Repair) the build
+//! succeeds and the attached [`ProfileRepair`] reports exactly what was
+//! fixed.
 
-use pibe::{Image, PibeConfig, PipelineError, ValidationPolicy};
+use pibe::{Image, PibeConfig};
 use pibe_harden::DefenseSet;
 use pibe_ir::{FuncId, FunctionBuilder, Module, OpKind, SiteId};
 use pibe_profile::{Profile, ProfileIssue, ProfileRepair, COUNT_CLAMP};
@@ -45,16 +45,11 @@ fn profile_from_json(json: &str) -> Profile {
     Profile::from_json(json).expect("handcrafted profile JSON parses")
 }
 
-fn strict_error(m: &Module, p: &Profile) -> ProfileIssue {
-    let err = Image::builder(m)
-        .profile(p)
-        .config(PibeConfig::lax(DefenseSet::ALL).with_validation(ValidationPolicy::Strict))
-        .build()
-        .expect_err("strict validation must reject this profile");
-    match err {
-        PipelineError::ProfileInvalid(issue) => issue,
-        other => panic!("expected ProfileInvalid, got {other:?}"),
-    }
+/// The first issue validation reports: the one that names the fault.
+fn first_issue(m: &Module, p: &Profile) -> ProfileIssue {
+    p.validate_against(m)
+        .first()
+        .expect("validation must flag this profile")
 }
 
 fn repair_report(m: &Module, p: &Profile) -> Option<ProfileRepair> {
@@ -73,7 +68,7 @@ fn dangling_direct_site_names_the_site_and_is_dropped() {
     let mut p = clean(d, i, leaf);
     p.record_direct(SiteId::from_raw(99));
 
-    let issue = strict_error(&m, &p);
+    let issue = first_issue(&m, &p);
     assert_eq!(
         issue,
         ProfileIssue::DanglingDirectSite {
@@ -101,7 +96,7 @@ fn dangling_direct_site_far_above_the_module_watermark_is_named_and_dropped() {
     p.record_direct(far);
 
     assert_eq!(
-        strict_error(&m, &p),
+        first_issue(&m, &p),
         ProfileIssue::DanglingDirectSite { site: far }
     );
     assert_eq!(
@@ -119,7 +114,7 @@ fn dangling_indirect_site_names_the_site_and_is_dropped() {
     let mut p = clean(d, i, leaf);
     p.record_indirect(SiteId::from_raw(99), leaf);
 
-    let issue = strict_error(&m, &p);
+    let issue = first_issue(&m, &p);
     assert_eq!(
         issue,
         ProfileIssue::DanglingIndirectSite {
@@ -143,7 +138,7 @@ fn dangling_target_names_site_and_target_and_only_the_target_is_dropped() {
     let mut p = clean(d, i, leaf);
     p.record_indirect(i, FuncId::from_raw(77));
 
-    let issue = strict_error(&m, &p);
+    let issue = first_issue(&m, &p);
     assert_eq!(
         issue,
         ProfileIssue::DanglingTarget {
@@ -180,7 +175,7 @@ fn duplicate_target_names_the_pair_and_duplicates_are_merged() {
         }"#,
     );
 
-    let issue = strict_error(&m, &p);
+    let issue = first_issue(&m, &p);
     assert_eq!(
         issue,
         ProfileIssue::DuplicateTarget {
@@ -211,7 +206,7 @@ fn empty_value_profile_names_the_site_and_the_site_is_dropped() {
         }"#,
     );
 
-    let issue = strict_error(&m, &p);
+    let issue = first_issue(&m, &p);
     assert_eq!(issue, ProfileIssue::EmptyValueProfile { site: i });
     assert!(issue.to_string().contains("site1"), "{issue}");
 
@@ -237,7 +232,7 @@ fn saturated_direct_count_names_the_site_and_is_clamped() {
     );
     assert_eq!(p.direct_count(d), u64::MAX);
 
-    let issue = strict_error(&m, &p);
+    let issue = first_issue(&m, &p);
     assert_eq!(issue, ProfileIssue::SaturatedDirect { site: d });
     assert!(issue.to_string().contains("site0"), "{issue}");
 
@@ -266,7 +261,7 @@ fn saturated_indirect_count_names_site_and_target_and_is_clamped() {
         }"#,
     );
 
-    let issue = strict_error(&m, &p);
+    let issue = first_issue(&m, &p);
     assert_eq!(
         issue,
         ProfileIssue::SaturatedIndirect {
@@ -292,7 +287,7 @@ fn dangling_func_names_the_function_and_is_dropped() {
     let mut p = clean(d, i, leaf);
     p.record_entry(FuncId::from_raw(55));
 
-    let issue = strict_error(&m, &p);
+    let issue = first_issue(&m, &p);
     assert_eq!(
         issue,
         ProfileIssue::DanglingFunc {
@@ -323,7 +318,7 @@ fn saturated_func_count_names_the_function_and_is_clamped() {
     );
     assert_eq!(p.entry_count(leaf), u64::MAX);
 
-    let issue = strict_error(&m, &p);
+    let issue = first_issue(&m, &p);
     assert_eq!(issue, ProfileIssue::SaturatedFunc { func: leaf });
     assert!(issue.to_string().contains("@f0"), "{issue}");
 
@@ -341,9 +336,8 @@ fn empty_profile_is_rejected_by_strict_but_safe_under_repair() {
     let (m, _, _, _) = module();
     let p = Profile::new();
 
-    // Advisory, but it is still the first (only) issue, so strict mode —
-    // which refuses to build from *any* flagged profile — surfaces it.
-    assert_eq!(strict_error(&m, &p), ProfileIssue::Empty);
+    // Advisory, but it is still the first (only) issue validation reports.
+    assert_eq!(first_issue(&m, &p), ProfileIssue::Empty);
 
     // Repair mode builds: an empty profile is safe (no optimization
     // candidates, everything stays defended). There was nothing to fix, so

@@ -14,7 +14,8 @@
 //!                  (default), arm64, riscv64, riscv64-nop. Equivalent to
 //!                  setting PIBE_ARCH. The crossarch table always sweeps
 //!                  all backends regardless of this flag.
-//!   --only LIST    comma-separated subset, e.g. "1,5,robustness,fig1"
+//!   --only LIST    comma-separated subset, e.g. "1,5,robustness,fig1";
+//!                  an unknown key exits 2 (`--list` prints the keys)
 //!   --json PATH    additionally write all regenerated tables as JSON
 //!   --trace PATH   enable pipeline tracing, write a Chrome trace-event
 //!                  JSON file (load it at https://ui.perfetto.dev) and
@@ -27,6 +28,7 @@
 //! cache absorbed.
 
 use pibe::experiments::{self, ExperimentError, Lab};
+use pibe::report::Table;
 use pibe_kernel::KernelSpec;
 use std::time::Instant;
 
@@ -84,16 +86,28 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|e: String| panic!("--arch: {e}"));
                 args.arch = Some(name);
             }
-            "--only" => args.only = Some(val().split(',').map(str::to_string).collect()),
+            "--only" => {
+                let keys: Vec<String> = val().split(',').map(str::to_string).collect();
+                let unknown: Vec<&str> = keys
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|k| TABLES.iter().all(|(key, _)| key != k))
+                    .collect();
+                if !unknown.is_empty() {
+                    eprintln!(
+                        "unknown table key(s) {}; available keys: {}",
+                        unknown.join(","),
+                        key_list()
+                    );
+                    std::process::exit(2);
+                }
+                args.only = Some(keys);
+            }
             "--json" => args.json = Some(val()),
             "--trace" => args.trace = Some(val()),
             "--all" => args.only = None,
             "--list" => {
-                println!(
-                    "available keys: 1 fig1 2 3 4 5 6 7 8 9 10 11 12 \
-                     robustness refill breakdown v1 eibrs userspace convergence \
-                     crossarch"
-                );
+                println!("available keys: {}", key_list());
                 std::process::exit(0);
             }
             other => {
@@ -103,6 +117,74 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// How a table is produced: without a kernel, or measured on the lab.
+enum Run {
+    /// Needs no kernel, so a run of only these keys skips `Lab::new`.
+    Static(fn() -> Table),
+    /// Measured on the paper-scale lab.
+    Lab(fn(&Lab, &Args) -> Table),
+}
+
+/// Every `--only` key in output order. `--list`, the lab decision and the
+/// table loop all read this one list.
+const TABLES: &[(&str, Run)] = &[
+    ("1", Run::Static(experiments::table1)),
+    ("fig1", Run::Static(experiments::figure1)),
+    ("2", Run::Lab(|lab, _| experiments::table2(lab))),
+    ("3", Run::Lab(|lab, _| experiments::table3(lab))),
+    ("4", Run::Lab(|lab, _| experiments::table4(lab))),
+    ("5", Run::Lab(|lab, _| experiments::table5(lab))),
+    ("6", Run::Lab(|lab, _| experiments::table6(lab))),
+    ("8", Run::Lab(|lab, _| experiments::table8(lab))),
+    ("9", Run::Lab(|lab, _| experiments::table9(lab))),
+    ("10", Run::Lab(|lab, _| experiments::table10(lab))),
+    ("11", Run::Lab(|lab, _| experiments::table11(lab))),
+    ("12", Run::Lab(|lab, _| experiments::table12(lab))),
+    (
+        "7",
+        Run::Lab(|lab, a| or_die(experiments::table7(lab, a.requests))),
+    ),
+    (
+        "convergence",
+        Run::Lab(|lab, _| or_die(experiments::profiling_convergence(lab)).0),
+    ),
+    (
+        "eibrs",
+        Run::Lab(|lab, _| experiments::eibrs_comparison(lab).0),
+    ),
+    ("userspace", Run::Static(|| experiments::userspace(400).0)),
+    (
+        "v1",
+        Run::Lab(|lab, _| experiments::spectre_v1_fencing(lab).0),
+    ),
+    (
+        "breakdown",
+        Run::Lab(|lab, _| or_die(experiments::cycle_breakdown(lab)).0),
+    ),
+    (
+        "refill",
+        Run::Lab(|lab, _| experiments::rsb_refill_comparison(lab).0),
+    ),
+    (
+        "robustness",
+        Run::Lab(|lab, a| or_die(experiments::robustness(lab, a.requests)).0),
+    ),
+    (
+        "crossarch",
+        Run::Lab(|lab, _| experiments::cross_arch(lab).0),
+    ),
+    (
+        "ablations",
+        Run::Lab(|lab, _| experiments::ablations(lab).0),
+    ),
+];
+
+/// The valid `--only` keys, space-separated, in output order.
+fn key_list() -> String {
+    let keys: Vec<&str> = TABLES.iter().map(|(key, _)| *key).collect();
+    keys.join(" ")
 }
 
 fn main() {
@@ -127,7 +209,7 @@ fn main() {
             .as_ref()
             .is_none_or(|list| list.iter().any(|k| k == key))
     };
-    let mut produced: Vec<pibe::report::Table> = Vec::new();
+    let mut produced: Vec<Table> = Vec::new();
 
     println!("; PIBE reproduction — table regeneration");
     println!(
@@ -135,51 +217,41 @@ fn main() {
         args.scale, args.iters, args.rounds, args.requests
     );
 
-    // Table 1 and Figure 1 need no kernel.
-    if wanted("1") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.1");
-        let t = experiments::table1();
-        drop(span);
-        println!("\n{t}");
-        produced.push(t);
-        eprintln!("[table 1 in {:.1?}]", t0.elapsed());
+    // Built on the first table that needs it.
+    let mut lab: Option<Lab> = None;
+    for (key, run) in TABLES.iter().filter(|(key, _)| wanted(key)) {
+        let table = match run {
+            Run::Static(f) => timed(key, f),
+            Run::Lab(f) => {
+                let lab = lab.get_or_insert_with(|| new_lab(&args));
+                timed(key, || f(lab, &args))
+            }
+        };
+        println!("\n{table}");
+        produced.push(table);
     }
-    if wanted("fig1") {
-        let span = pibe_trace::span("table.fig1");
-        let t = experiments::figure1();
-        drop(span);
-        println!("\n{t}");
-        produced.push(t);
+    if let Some(lab) = &lab {
+        let build_report = build_report(lab);
+        println!("\n{build_report}");
+        produced.push(build_report);
     }
+    write_json(&args, &produced);
+    finish_trace(&args);
+}
 
-    let lab_keys = [
-        "2",
-        "3",
-        "4",
-        "5",
-        "6",
-        "7",
-        "8",
-        "9",
-        "10",
-        "11",
-        "12",
-        "robustness",
-        "refill",
-        "breakdown",
-        "v1",
-        "eibrs",
-        "userspace",
-        "convergence",
-        "crossarch",
-    ];
-    if !lab_keys.iter().any(|k| wanted(k)) {
-        write_json(&args, &produced);
-        finish_trace(&args);
-        return;
-    }
+/// Runs one table under its `table.KEY` trace span and reports its wall
+/// time on stderr.
+fn timed(key: &str, f: impl FnOnce() -> Table) -> Table {
+    let t0 = Instant::now();
+    let span = pibe_trace::span(format!("table.{key}"));
+    let table = f();
+    drop(span);
+    eprintln!("[table {key} in {:.1?}]", t0.elapsed());
+    table
+}
 
+/// Builds the paper-scale lab the kernel-backed tables share.
+fn new_lab(args: &Args) -> Lab {
     let t0 = Instant::now();
     let spec = KernelSpec {
         scale: args.scale,
@@ -197,125 +269,7 @@ fn main() {
         lab.farm().threads(),
         lab.arch.name()
     );
-
-    type TableFn = dyn Fn(&Lab) -> pibe::report::Table;
-    let simple: [(&str, &TableFn); 9] = [
-        ("2", &experiments::table2),
-        ("3", &experiments::table3),
-        ("4", &experiments::table4),
-        ("5", &experiments::table5),
-        ("6", &experiments::table6),
-        ("8", &experiments::table8),
-        ("9", &experiments::table9),
-        ("10", &experiments::table10),
-        ("11", &experiments::table11),
-    ];
-    for (key, f) in simple {
-        if wanted(key) {
-            let t0 = Instant::now();
-            let span = pibe_trace::span(format!("table.{key}"));
-            let table = f(&lab);
-            drop(span);
-            println!("\n{table}");
-            produced.push(table);
-            eprintln!("[table {key} in {:.1?}]", t0.elapsed());
-        }
-    }
-    if wanted("12") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.12");
-        let table = experiments::table12(&lab);
-        drop(span);
-        println!("\n{table}");
-        produced.push(table);
-        eprintln!("[table 12 in {:.1?}]", t0.elapsed());
-    }
-    if wanted("7") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.7");
-        let t = or_die(experiments::table7(&lab, args.requests));
-        drop(span);
-        println!("\n{t}");
-        produced.push(t);
-        eprintln!("[table 7 in {:.1?}]", t0.elapsed());
-    }
-    if wanted("convergence") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.convergence");
-        let (table, _) = or_die(experiments::profiling_convergence(&lab));
-        drop(span);
-        println!("\n{table}");
-        produced.push(table);
-        eprintln!("[convergence in {:.1?}]", t0.elapsed());
-    }
-    if wanted("eibrs") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.eibrs");
-        let (table, _) = experiments::eibrs_comparison(&lab);
-        drop(span);
-        println!("\n{table}");
-        produced.push(table);
-        eprintln!("[eibrs in {:.1?}]", t0.elapsed());
-    }
-    if wanted("userspace") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.userspace");
-        let (table, _) = experiments::userspace(400);
-        drop(span);
-        println!("\n{table}");
-        produced.push(table);
-        eprintln!("[userspace in {:.1?}]", t0.elapsed());
-    }
-    if wanted("v1") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.v1");
-        let (table, _) = experiments::spectre_v1_fencing(&lab);
-        drop(span);
-        println!("\n{table}");
-        produced.push(table);
-        eprintln!("[v1 in {:.1?}]", t0.elapsed());
-    }
-    if wanted("breakdown") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.breakdown");
-        let (table, _) = or_die(experiments::cycle_breakdown(&lab));
-        drop(span);
-        println!("\n{table}");
-        produced.push(table);
-        eprintln!("[breakdown in {:.1?}]", t0.elapsed());
-    }
-    if wanted("refill") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.refill");
-        let (table, _) = experiments::rsb_refill_comparison(&lab);
-        drop(span);
-        println!("\n{table}");
-        produced.push(table);
-        eprintln!("[refill in {:.1?}]", t0.elapsed());
-    }
-    if wanted("robustness") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.robustness");
-        let (table, _) = or_die(experiments::robustness(&lab, args.requests));
-        drop(span);
-        println!("\n{table}");
-        produced.push(table);
-        eprintln!("[robustness in {:.1?}]", t0.elapsed());
-    }
-    if wanted("crossarch") {
-        let t0 = Instant::now();
-        let span = pibe_trace::span("table.crossarch");
-        let (table, _) = experiments::cross_arch(&lab);
-        drop(span);
-        println!("\n{table}");
-        produced.push(table);
-        eprintln!("[crossarch in {:.1?}]", t0.elapsed());
-    }
-    let build_report = build_report(&lab);
-    println!("\n{build_report}");
-    produced.push(build_report);
-    write_json(&args, &produced);
-    finish_trace(&args);
+    lab
 }
 
 /// When tracing is on, drains the tracer: writes the Chrome trace-event
@@ -339,11 +293,11 @@ fn finish_trace(args: &Args) {
 
 /// Summarises the lab's image-farm activity: cache effectiveness and the
 /// wall-clock cost of each pipeline stage summed over every build.
-fn build_report(lab: &Lab) -> pibe::report::Table {
+fn build_report(lab: &Lab) -> Table {
     let stats = lab.farm().stats();
     let metrics = lab.build_metrics();
     let ms = |ns: u64| format!("{:.1}", ns as f64 / 1e6);
-    let mut t = pibe::report::Table::new(
+    let mut t = Table::new(
         "Build report: image-farm cache and per-stage pipeline timings",
         &["statistic", "value"],
     );
@@ -382,7 +336,7 @@ fn build_report(lab: &Lab) -> pibe::report::Table {
 }
 
 /// Writes the regenerated tables as a JSON document when `--json` was given.
-fn write_json(args: &Args, tables: &[pibe::report::Table]) {
+fn write_json(args: &Args, tables: &[Table]) {
     let Some(path) = &args.json else { return };
     let doc = serde_json::json!({
         "scale": args.scale,

@@ -6,6 +6,7 @@
 //! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
 //! record.
 
+mod ablations;
 mod breakdown;
 mod convergence;
 mod crossarch;
@@ -17,6 +18,7 @@ mod security;
 mod userspace;
 mod v1;
 
+pub use ablations::{ablations, AblationPoint, Setting};
 pub use breakdown::{cycle_breakdown, CycleBreakdown};
 pub use convergence::{profiling_convergence, ConvergencePoint};
 pub use crossarch::{cross_arch, CrossArchPoint};
@@ -33,6 +35,7 @@ use crate::eval::{self, LatencyRow};
 use crate::farm::ImageFarm;
 use crate::pipeline::{BuildMetrics, Image, PipelineError};
 use pibe_harden::{Arch, DefenseSet};
+use pibe_ir::Module;
 use pibe_kernel::measure::collect_profile;
 use pibe_kernel::workloads::{lmbench_suite, Benchmark, WorkloadSpec};
 use pibe_kernel::{Kernel, KernelSpec};
@@ -284,6 +287,27 @@ impl Lab {
             .zip(rows)
             .map(|(b, n)| (b.name.clone(), eval::overhead_pct(b.cycles, n.cycles)))
             .collect()
+    }
+
+    /// Geomean overhead (%) of a module built outside the farm, after
+    /// hardening it with every defense under the lab's arch. Baselines the
+    /// pipeline cannot build (LLVM's inliner) are measured this way, so they
+    /// face the same backend as the farm's images.
+    pub(crate) fn hardened_overhead(&self, mut module: Module) -> f64 {
+        pibe_harden::apply(&mut module, self.arch.backend(), DefenseSet::ALL, 1);
+        let rows = eval::lmbench_latencies(
+            &module,
+            &self.kernel,
+            &self.workload,
+            &self.suite,
+            SimConfig {
+                defenses: DefenseSet::ALL,
+                arch: self.arch,
+                ..SimConfig::default()
+            },
+            self.seed,
+        );
+        self.geomean(&rows)
     }
 
     /// Geometric-mean overhead (%) of rows vs the LTO baseline.

@@ -432,17 +432,16 @@ pub fn table7(lab: &Lab, requests: u32) -> Result<Table, ExperimentError> {
     lab.prefetch(&configs);
     // One thread per macro benchmark; rows and the first error come back
     // in benchmark order.
-    let per_bench = crossbeam::thread::scope(|scope| {
+    let per_bench = std::thread::scope(|scope| {
         let handles: Vec<_> = benches
             .iter()
-            .map(|(mb, wl)| scope.spawn(move |_| table7_rows(lab, mb, wl)))
+            .map(|(mb, wl)| scope.spawn(move || table7_rows(lab, mb, wl)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("benchmark thread panicked"))
             .collect::<Vec<_>>()
-    })
-    .expect("benchmark thread panicked");
+    });
     for rows in per_bench {
         for row in rows? {
             t.row(row);

@@ -13,10 +13,9 @@
 
 use super::{ExperimentError, Lab};
 use crate::config::PibeConfig;
-use crate::eval;
 use crate::report::{pct, Table};
 use pibe_baselines::{run_llvm_inliner, LlvmInlinerConfig};
-use pibe_harden::{Arch, DefenseSet};
+use pibe_harden::DefenseSet;
 use pibe_kernel::measure::collect_macro_profile;
 use pibe_kernel::workloads::{MacroBench, WorkloadSpec};
 use pibe_profile::{overlap, Budget};
@@ -69,13 +68,14 @@ pub fn robustness(lab: &Lab, requests: u32) -> Result<(Table, RobustnessSummary)
 
     // 2. Apache-trained kernel, comprehensive defenses, LMBench eval. The
     // image is trained on a different profile than the lab's, so it is
-    // built directly rather than through the farm.
+    // built directly rather than through the farm, for the lab's arch.
     let apache_img = crate::Image::builder(&lab.kernel.module)
         .profile(&apache_profile)
         .config(
             PibeConfig::builder()
                 .lax()
                 .defenses(DefenseSet::ALL)
+                .arch(lab.arch)
                 .build(),
         )
         .build()?;
@@ -107,19 +107,7 @@ pub fn robustness(lab: &Lab, requests: u32) -> Result<(Table, RobustnessSummary)
         let mut module = lab.kernel.module.clone();
         let weights = pibe_passes::SiteWeights::from_profile(&lab.profile);
         run_llvm_inliner(&mut module, &weights, &LlvmInlinerConfig::default());
-        pibe_harden::apply(&mut module, Arch::X86.backend(), DefenseSet::ALL, 1);
-        let rows = eval::lmbench_latencies(
-            &module,
-            &lab.kernel,
-            &lab.workload,
-            &lab.suite,
-            pibe_sim::SimConfig {
-                defenses: DefenseSet::ALL,
-                ..pibe_sim::SimConfig::default()
-            },
-            lab.seed,
-        );
-        lab.geomean(&rows)
+        lab.hardened_overhead(module)
     };
 
     let summary = RobustnessSummary {

@@ -12,12 +12,11 @@
 
 use crate::config::PibeConfig;
 use crate::pipeline::{BuildMetrics, Image, PipelineError};
-use parking_lot::Mutex;
 use pibe_ir::Module;
 use pibe_profile::Profile;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// One build slot: filled exactly once, shared by every requester.
@@ -116,9 +115,16 @@ impl ImageFarm {
         &self.profile
     }
 
+    /// Locks the slot map. The lock is never held across a build, and every
+    /// critical section leaves the map consistent, so a poisoned lock is
+    /// used as is.
+    fn cache(&self) -> MutexGuard<'_, HashMap<PibeConfig, Slot>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The slot for `config`, creating an empty one under the cache lock.
     fn slot(&self, config: &PibeConfig) -> Slot {
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache();
         cache
             .entry(*config)
             .or_insert_with(|| Arc::new(OnceLock::new()))
@@ -242,10 +248,10 @@ impl ImageFarm {
         let workers = self.threads.min(pending.len());
         if workers > 1 {
             let next = AtomicUsize::new(0);
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let (next, pending) = (&next, &pending);
                 for w in 0..workers {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         pibe_trace::set_track_name(format!("worker-{w}"));
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -256,8 +262,7 @@ impl ImageFarm {
                         }
                     });
                 }
-            })
-            .expect("farm worker panicked");
+            });
         } else {
             for config in &pending {
                 let _ = self.fetch_queued(config, Some(queued_at));
@@ -281,7 +286,7 @@ impl ImageFarm {
     pub fn stats(&self) -> FarmStats {
         let requests = self.requests.load(Ordering::Relaxed);
         let builds = self.builds.load(Ordering::Relaxed);
-        let cache = self.cache.lock();
+        let cache = self.cache();
         let failed = cache
             .values()
             .filter(|slot| matches!(slot.get(), Some(Err(_))))
@@ -297,7 +302,7 @@ impl ImageFarm {
 
     /// Sums the per-stage build timings of every successfully built image.
     pub fn aggregate_metrics(&self) -> BuildMetrics {
-        let slots: Vec<Slot> = self.cache.lock().values().cloned().collect();
+        let slots: Vec<Slot> = self.cache().values().cloned().collect();
         let mut agg = BuildMetrics::default();
         for slot in slots {
             if let Some(Ok(image)) = slot.get() {

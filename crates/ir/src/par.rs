@@ -132,10 +132,10 @@ where
     let next = AtomicUsize::new(0);
     let next = &next;
     let f = &f;
-    let parts: Vec<Vec<(usize, T)>> = crossbeam::thread::scope(|scope| {
+    let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut out = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -152,8 +152,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("par worker panicked"))
             .collect()
-    })
-    .expect("par scope");
+    });
 
     let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
     for (i, v) in parts.into_iter().flatten() {

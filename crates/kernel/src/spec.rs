@@ -37,14 +37,6 @@ impl KernelSpec {
         }
     }
 
-    /// A mid-size kernel for Criterion benches (~15% of paper scale).
-    pub fn bench() -> Self {
-        KernelSpec {
-            seed: 0x51BE,
-            scale: 0.15,
-        }
-    }
-
     /// Scales an absolute paper-census quota, keeping at least `min`.
     pub(crate) fn scaled(&self, paper_count: u64, min: u64) -> u64 {
         ((paper_count as f64 * self.scale).round() as u64).max(min)
@@ -222,8 +214,7 @@ mod tests {
 
     #[test]
     fn presets_differ_in_scale_only() {
-        assert!(KernelSpec::test().scale < KernelSpec::bench().scale);
-        assert!(KernelSpec::bench().scale < KernelSpec::paper().scale);
+        assert!(KernelSpec::test().scale < KernelSpec::paper().scale);
         assert_eq!(KernelSpec::test().seed, KernelSpec::paper().seed);
     }
 

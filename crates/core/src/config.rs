@@ -5,28 +5,8 @@ use pibe_passes::{IcpConfig, InlinerConfig};
 use pibe_profile::Budget;
 use serde::{Deserialize, Serialize};
 
-/// How the pipeline treats profile/module inconsistencies (dangling site or
-/// function ids, truncated value profiles, saturated counts).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ValidationPolicy {
-    /// Repair the profile (drop/clamp offending entries) and build with the
-    /// repaired copy; the [`ProfileRepair`](pibe_profile::ProfileRepair)
-    /// report is attached to the resulting [`Image`](crate::Image). The
-    /// default: a stale profile degrades optimization quality, never the
-    /// build.
-    #[default]
-    Repair,
-    /// Skip validation *and* the per-stage verification: the
-    /// legacy fast path with a single end-of-pipeline verify. A corrupt
-    /// profile can panic a pass under this policy — the
-    /// [`ImageFarm`](crate::ImageFarm) contains such panics as
-    /// [`PipelineError::StagePanicked`](crate::PipelineError::StagePanicked).
-    TrustProfile,
-}
-
 /// One kernel build configuration: which optimizations run (and at what
-/// budget), which defenses harden the result, and how the build treats its
-/// profile.
+/// budget), which defenses harden the result, and for which architecture.
 ///
 /// Configurations are `Eq + Hash`: the [`ImageFarm`](crate::ImageFarm)
 /// content-keys its build cache on the full configuration, so two requests
@@ -52,13 +32,11 @@ pub struct PibeConfig {
     /// serialized configuration meaning exactly what it did before the
     /// field existed.
     pub arch: Arch,
-    /// How profile/module inconsistencies are handled.
-    pub validation: ValidationPolicy,
 }
 
 impl PibeConfig {
     /// Starts a fluent [`PibeConfigBuilder`] at the LTO baseline (no
-    /// optimization, no defenses, default policies, x86). The preferred way
+    /// optimization, no defenses, x86). The preferred way
     /// to assemble a configuration; the named constructors below are thin
     /// wrappers kept for the existing call sites.
     pub fn builder() -> PibeConfigBuilder {
@@ -176,7 +154,6 @@ impl Default for PibeConfigBuilder {
                 dce: false,
                 defenses: DefenseSet::NONE,
                 arch: Arch::X86,
-                validation: ValidationPolicy::default(),
             },
         }
     }
@@ -247,12 +224,6 @@ impl PibeConfigBuilder {
         self
     }
 
-    /// Sets the profile-validation policy.
-    pub fn validation(mut self, validation: ValidationPolicy) -> Self {
-        self.config.validation = validation;
-        self
-    }
-
     /// Finishes the build.
     pub fn build(self) -> PibeConfig {
         self.config
@@ -300,7 +271,7 @@ mod tests {
         assert!(!c.dce, "dce is opt-in");
         let d = c.with_dce(true);
         assert!(d.dce);
-        // Part of the farm's content key, like the policies.
+        // Part of the farm's content key, like the arch.
         assert_ne!(c, d);
     }
 
@@ -344,19 +315,5 @@ mod tests {
         // Part of the farm's content key: per-arch builds never alias.
         assert_ne!(c, arm);
         assert_eq!(arm.backend().name(), "arm-pac-bti");
-    }
-
-    #[test]
-    fn validation_defaults_to_repair_and_keys_the_cache() {
-        let c = PibeConfig::lax(DefenseSet::ALL);
-        assert_eq!(c.validation, ValidationPolicy::Repair);
-        let trusted = PibeConfig::builder()
-            .lax()
-            .defenses(DefenseSet::ALL)
-            .validation(ValidationPolicy::TrustProfile)
-            .build();
-        assert_eq!(trusted.validation, ValidationPolicy::TrustProfile);
-        // The policy is part of the farm's cache key.
-        assert_ne!(c, trusted);
     }
 }

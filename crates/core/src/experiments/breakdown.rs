@@ -13,7 +13,7 @@ use crate::config::PibeConfig;
 use crate::report::{pct, Table};
 use pibe_harden::DefenseSet;
 use pibe_kernel::measure::run_latency;
-use pibe_sim::{ExecStats, SimConfig};
+use pibe_sim::ExecStats;
 use serde::{Deserialize, Serialize};
 
 /// Cycle shares of one configuration, summed over the LMBench suite.
@@ -44,10 +44,7 @@ impl CycleBreakdown {
 }
 
 fn suite_breakdown(lab: &Lab, image: &crate::Image) -> Result<CycleBreakdown, ExperimentError> {
-    let cfg = SimConfig {
-        defenses: image.config.defenses,
-        ..SimConfig::default()
-    };
+    let cfg = image.sim_config();
     let mut total = ExecStats::default();
     for bench in &lab.suite {
         let (_, stats, _) = run_latency(
@@ -152,5 +149,39 @@ mod tests {
         // PIBE's optimization reduces even the base cycles (that is the
         // Table 2 speedup).
         assert!(pibe_base.base < lto.base);
+    }
+
+    #[test]
+    fn breakdown_charges_defenses_at_the_image_arch() {
+        use pibe_harden::Arch;
+        use pibe_sim::SimConfig;
+        let mut lab = Lab::test();
+        lab.arch = Arch::Arm64;
+        let image = lab.image(&PibeConfig::builder().defenses(DefenseSet::ALL).build());
+        assert_eq!(image.config.arch, Arch::Arm64);
+        let defense_at = |arch: Arch| -> u64 {
+            let cfg = SimConfig {
+                defenses: DefenseSet::ALL,
+                arch,
+                ..SimConfig::default()
+            };
+            lab.suite
+                .iter()
+                .map(|bench| {
+                    let run = run_latency(
+                        &image.module,
+                        &lab.kernel,
+                        &lab.workload,
+                        *bench,
+                        cfg,
+                        lab.seed,
+                    );
+                    run.expect("benchmark runs").1.cycles_defense
+                })
+                .sum()
+        };
+        let charged = suite_breakdown(&lab, &image).expect("breakdown runs");
+        assert_eq!(charged.defense, defense_at(Arch::Arm64));
+        assert_ne!(charged.defense, defense_at(Arch::X86), "x86 costs differ");
     }
 }

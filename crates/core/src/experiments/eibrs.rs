@@ -12,7 +12,7 @@ use super::Lab;
 use crate::config::PibeConfig;
 use crate::eval;
 use crate::report::{pct, Table};
-use pibe_harden::DefenseSet;
+use pibe_harden::{Arch, DefenseSet};
 use pibe_profile::Budget;
 use pibe_sim::SimConfig;
 use serde::{Deserialize, Serialize};
@@ -65,7 +65,9 @@ pub fn eibrs_comparison(lab: &Lab) -> (Table, Vec<ForwardEdgePosture>) {
         });
     };
 
-    lab.prefetch(&[
+    // eIBRS and retpolines are x86 mitigations: every posture runs on an
+    // x86 image, whatever the lab's arch.
+    let configs = [
         PibeConfig::builder().build(),
         PibeConfig::builder()
             .defenses(DefenseSet::RETPOLINES)
@@ -74,44 +76,23 @@ pub fn eibrs_comparison(lab: &Lab) -> (Table, Vec<ForwardEdgePosture>) {
             .icp(Budget::P99_999)
             .defenses(DefenseSet::RETPOLINES)
             .build(),
-    ]);
-    let lto = lab.image(&PibeConfig::builder().build());
-    measure("no forward-edge defense", &lto, SimConfig::default());
+    ]
+    .map(|c| c.with_arch(Arch::X86));
+    lab.farm()
+        .prefetch(&configs)
+        .unwrap_or_else(|e| panic!("prefetch build failed: {e}"));
+    let [lto, retp, retp_pibe] = configs.map(|c| lab.image_for_arch(&c, Arch::X86));
+    measure("no forward-edge defense", &lto, lto.sim_config());
     measure(
         "eIBRS",
         &lto,
         SimConfig {
             eibrs: true,
-            ..SimConfig::default()
+            ..lto.sim_config()
         },
     );
-    let retp = lab.image(
-        &PibeConfig::builder()
-            .defenses(DefenseSet::RETPOLINES)
-            .build(),
-    );
-    measure(
-        "retpolines (unoptimized)",
-        &retp,
-        SimConfig {
-            defenses: DefenseSet::RETPOLINES,
-            ..SimConfig::default()
-        },
-    );
-    let retp_pibe = lab.image(
-        &PibeConfig::builder()
-            .icp(Budget::P99_999)
-            .defenses(DefenseSet::RETPOLINES)
-            .build(),
-    );
-    measure(
-        "retpolines + PIBE icp",
-        &retp_pibe,
-        SimConfig {
-            defenses: DefenseSet::RETPOLINES,
-            ..SimConfig::default()
-        },
-    );
+    measure("retpolines (unoptimized)", &retp, retp.sim_config());
+    measure("retpolines + PIBE icp", &retp_pibe, retp_pibe.sim_config());
     (table, out)
 }
 

@@ -251,14 +251,7 @@ impl Lab {
     /// Measures the latency suite on `image` under its own defenses and
     /// architecture.
     pub fn latencies(&self, image: &Image) -> Vec<LatencyRow> {
-        self.latencies_with(
-            image,
-            SimConfig {
-                defenses: image.config.defenses,
-                arch: image.config.arch,
-                ..SimConfig::default()
-            },
-        )
+        self.latencies_with(image, image.sim_config())
     }
 
     /// Measures the latency suite on `image` with an explicit simulator

@@ -486,17 +486,7 @@ fn table7_rows(
             lab.image(&PibeConfig::builder().lax().defenses(d).build())
         };
         let tp = |img: &crate::pipeline::Image| {
-            eval::macro_throughput(
-                &img.module,
-                &lab.kernel,
-                wl,
-                mb,
-                pibe_sim::SimConfig {
-                    defenses: img.config.defenses,
-                    ..pibe_sim::SimConfig::default()
-                },
-                lab.seed,
-            )
+            eval::macro_throughput(&img.module, &lab.kernel, wl, mb, img.sim_config(), lab.seed)
         };
         let delta = |rps: f64| (rps - vanilla.requests_per_sec) / vanilla.requests_per_sec * 100.0;
         rows.push(vec![

@@ -13,7 +13,7 @@ use super::Lab;
 use crate::config::PibeConfig;
 use crate::eval;
 use crate::report::{pct, Table};
-use pibe_harden::DefenseSet;
+use pibe_harden::{Arch, DefenseSet};
 use pibe_sim::SimConfig;
 use serde::{Deserialize, Serialize};
 
@@ -57,7 +57,9 @@ pub fn rsb_refill_comparison(lab: &Lab) -> (Table, Vec<BackwardEdgePosture>) {
         });
     };
 
-    lab.prefetch(&[
+    // RSB refilling and return retpolines are x86 mitigations: every
+    // posture runs on an x86 image, whatever the lab's arch.
+    let configs = [
         PibeConfig::builder().build(),
         PibeConfig::builder()
             .defenses(DefenseSet::RET_RETPOLINES)
@@ -66,44 +68,23 @@ pub fn rsb_refill_comparison(lab: &Lab) -> (Table, Vec<BackwardEdgePosture>) {
             .lax()
             .defenses(DefenseSet::RET_RETPOLINES)
             .build(),
-    ]);
-    let lto = lab.image(&PibeConfig::builder().build());
-    measure("no backward-edge defense", &lto, SimConfig::default());
+    ]
+    .map(|c| c.with_arch(Arch::X86));
+    lab.farm()
+        .prefetch(&configs)
+        .unwrap_or_else(|e| panic!("prefetch build failed: {e}"));
+    let [lto, rr, rr_pibe] = configs.map(|c| lab.image_for_arch(&c, Arch::X86));
+    measure("no backward-edge defense", &lto, lto.sim_config());
     measure(
         "RSB refilling",
         &lto,
         SimConfig {
             rsb_refill: true,
-            ..SimConfig::default()
+            ..lto.sim_config()
         },
     );
-    let rr = lab.image(
-        &PibeConfig::builder()
-            .defenses(DefenseSet::RET_RETPOLINES)
-            .build(),
-    );
-    measure(
-        "return retpolines (unoptimized)",
-        &rr,
-        SimConfig {
-            defenses: DefenseSet::RET_RETPOLINES,
-            ..SimConfig::default()
-        },
-    );
-    let rr_pibe = lab.image(
-        &PibeConfig::builder()
-            .lax()
-            .defenses(DefenseSet::RET_RETPOLINES)
-            .build(),
-    );
-    measure(
-        "return retpolines + PIBE",
-        &rr_pibe,
-        SimConfig {
-            defenses: DefenseSet::RET_RETPOLINES,
-            ..SimConfig::default()
-        },
-    );
+    measure("return retpolines (unoptimized)", &rr, rr.sim_config());
+    measure("return retpolines + PIBE", &rr_pibe, rr_pibe.sim_config());
     (table, out)
 }
 

@@ -136,12 +136,10 @@ impl ImageFarm {
     /// runs exactly once per distinct configuration even under concurrent
     /// callers (losers of the race block, then share the winner's image).
     ///
-    /// The build runs under `catch_unwind`: a pass that panics (possible
-    /// under [`ValidationPolicy::TrustProfile`](crate::ValidationPolicy::TrustProfile)
-    /// with a corrupt profile) is contained in this slot as
-    /// [`PipelineError::StagePanicked`] instead of tearing down the worker
-    /// pool, so one poisoned configuration cannot take a whole batch of
-    /// experiments with it.
+    /// The build runs under [`contain`]: a pass that panics is cached in
+    /// this slot as [`PipelineError::StagePanicked`] instead of tearing
+    /// down the worker pool, so one poisoned configuration cannot take a
+    /// whole batch of experiments with it.
     fn fetch(&self, config: &PibeConfig) -> Result<Arc<Image>, PipelineError> {
         self.fetch_queued(config, None)
     }
@@ -186,23 +184,13 @@ impl ImageFarm {
             } else {
                 pibe_ir::par::default_threads()
             };
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            contain(|| {
                 Image::builder(&self.base)
                     .profile(&self.profile)
                     .config(*config)
                     .threads(stage_threads)
                     .build()
                     .map(Arc::new)
-            }))
-            .unwrap_or_else(|payload| {
-                let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                Err(PipelineError::StagePanicked { message })
             })
         })
         .clone()
@@ -313,6 +301,23 @@ impl ImageFarm {
     }
 }
 
+/// Runs `build`, turning a panic into [`PipelineError::StagePanicked`]
+/// carrying the panic message (when the payload is a string).
+fn contain(
+    build: impl FnOnce() -> Result<Arc<Image>, PipelineError>,
+) -> Result<Arc<Image>, PipelineError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)).unwrap_or_else(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        Err(PipelineError::StagePanicked { message })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,49 +399,48 @@ mod tests {
         assert_eq!(farm.stats().builds, 1, "old farm untouched");
     }
 
-    /// A farm whose profile has a dangling value-profile target planted as
-    /// the hottest promotion candidate — the input that panics the inliner
-    /// when validation is off.
-    fn poisoned_farm() -> ImageFarm {
-        use pibe_profile::{corrupt_profile, ProfileChaos};
-        let k = Kernel::generate(KernelSpec::test());
-        let p = collect_profile(&k, &WorkloadSpec::lmbench(), &lmbench_suite(4), 1, 7)
-            .expect("profiling run succeeds");
-        let bad = (0..200)
-            .find_map(|seed| {
-                let (bad, kind, landed) = corrupt_profile(&p, &k.module, seed);
-                (landed && kind == ProfileChaos::DanglingTarget).then_some(bad)
-            })
-            .expect("some seed plants a dangling target");
-        ImageFarm::new(k.module, bad)
+    #[test]
+    fn contain_turns_a_panic_into_stage_panicked() {
+        let panicked = |message: &str| PipelineError::StagePanicked {
+            message: message.into(),
+        };
+        let err = contain(|| panic!("static message")).unwrap_err();
+        assert_eq!(err, panicked("static message"));
+        let site = 7;
+        let err = contain(|| panic!("dangling target at site {site}")).unwrap_err();
+        assert_eq!(err, panicked("dangling target at site 7"));
+        let err = contain(|| std::panic::panic_any(7u32)).unwrap_err();
+        assert_eq!(err, panicked("non-string panic payload"));
+        // A build that fails without panicking passes its error through.
+        let err = contain(|| Err(panicked("returned"))).unwrap_err();
+        assert_eq!(err, panicked("returned"));
     }
 
     #[test]
-    fn worker_panic_is_contained_and_cached() {
-        use crate::ValidationPolicy;
-        let farm = poisoned_farm().with_threads(2);
-        let poisoned = PibeConfig::builder()
-            .lax()
-            .defenses(DefenseSet::ALL)
-            .validation(ValidationPolicy::TrustProfile)
-            .build();
+    fn failed_slot_is_cached_counted_and_spares_its_batch() {
+        let farm = test_farm().with_threads(2);
+        // Seed the slot of one configuration with a contained panic, as a
+        // build that panicked would have left it.
+        let poisoned = PibeConfig::lax(DefenseSet::RETPOLINES);
+        let err = contain(|| panic!("pass panicked"));
+        farm.slot(&poisoned)
+            .set(err.clone())
+            .expect("slot was empty");
         let healthy = [
             PibeConfig::lto(),
             PibeConfig::lto_with(DefenseSet::ALL),
-            PibeConfig::lax(DefenseSet::ALL), // Repair fixes the profile
+            PibeConfig::lax(DefenseSet::ALL),
         ];
         let mut batch = healthy.to_vec();
         batch.insert(1, poisoned);
 
-        // The batch reports the poisoned build's contained panic...
-        let err = farm.images(&batch).expect_err("poisoned config must fail");
-        assert!(
-            matches!(err, PipelineError::StagePanicked { .. }),
-            "wanted StagePanicked, got {err}"
-        );
+        // The batch reports the cached failure...
+        let batch_err = farm.images(&batch).expect_err("poisoned config fails");
+        assert_eq!(batch_err, err.unwrap_err());
         // ...but every other configuration was still built and is served
         // from cache afterwards.
         let builds_after_batch = farm.stats().builds;
+        assert_eq!(builds_after_batch, healthy.len() as u64);
         for cfg in &healthy {
             farm.image(cfg).expect("healthy config built");
         }
@@ -444,7 +448,7 @@ mod tests {
 
         // The failure itself is cached (no retry) and counted.
         let again = farm.image(&poisoned).expect_err("failure is cached");
-        assert_eq!(again, err);
+        assert_eq!(again, batch_err);
         assert_eq!(farm.stats().builds, builds_after_batch);
         assert_eq!(farm.stats().failed, 1);
     }

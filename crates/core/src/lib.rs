@@ -27,8 +27,8 @@
 //!   evaluation section (run the `tables` binary from `pibe-bench`);
 //! * [`report`] renders the results as aligned text tables.
 //!
-//! The pipeline runs one policy: profiles are validated/repaired against
-//! the module per [`ValidationPolicy`], each transform stage's output is
+//! The pipeline runs one policy: the profile is validated against the
+//! module and repaired when dirty, each transform stage's output is
 //! verified, and a stage that produced invalid IR aborts the build with
 //! [`PipelineError::StageFailed`]. The [`chaos`] module injects
 //! deterministic module corruption to test exactly that check.
@@ -45,7 +45,7 @@ mod pipeline;
 pub mod report;
 
 pub use chaos::{corrupt_module, ModuleCorruption, SemanticCorruption};
-pub use config::{PibeConfig, PibeConfigBuilder, ValidationPolicy};
+pub use config::{PibeConfig, PibeConfigBuilder};
 pub use farm::{FarmStats, ImageFarm};
 pub use pibe_harden::{Arch, DefenseBackend, DefenseSet};
 /// The tracer every stage records into, for dependents that read a

@@ -9,19 +9,19 @@
 //!     .build()?;
 //! ```
 //!
-//! The pipeline runs one policy: the profile is validated (and, under
-//! [`ValidationPolicy::Repair`], repaired) against the module before any
-//! pass consumes it, and each transform stage is verified after it runs. A
-//! stage that produced structurally invalid IR aborts the build with a
-//! typed [`PipelineError::StageFailed`]; its module is discarded. Keeping a
-//! service running past a failed build is the supervisor's job (the serve
-//! loop keeps its last-known-good image), not the pipeline's.
+//! The pipeline runs one policy: the profile is validated (and, when
+//! dirty, repaired) against the module before any pass consumes it, the
+//! input module is verified, and each transform stage is verified after it
+//! runs. A stage that produced structurally invalid IR aborts the build
+//! with a typed [`PipelineError::StageFailed`]; its module is discarded.
+//! Keeping a service running past a failed build is the supervisor's job
+//! (the serve loop keeps its last-known-good image), not the pipeline's.
 //!
 //! The transform stages are rows of one table, `STAGES`; a single runner
 //! owns their timing, trace spans and verification.
 
 use crate::chaos::{ModuleCorruption, SemanticCorruption};
-use crate::config::{PibeConfig, ValidationPolicy};
+use crate::config::PibeConfig;
 use pibe_harden::{audit_backend, AuditError, DefenseBackend, HardenReport, SecurityAudit};
 use pibe_ir::{FuncId, Module, VerifyError};
 use pibe_passes::{
@@ -29,6 +29,7 @@ use pibe_passes::{
     InlinerStats, SiteWeights,
 };
 use pibe_profile::{Profile, ProfileRepair};
+use pibe_sim::SimConfig;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
@@ -59,8 +60,8 @@ pub struct Image {
     pub size: ImageSize,
     /// Wall-clock cost of each pipeline stage for this build.
     pub metrics: BuildMetrics,
-    /// What profile repair did, when [`ValidationPolicy::Repair`] had to
-    /// fix the input profile (`None` when the profile was already clean).
+    /// What profile repair did, when the input profile had to be fixed
+    /// (`None` when it was already clean).
     pub repair: Option<ProfileRepair>,
 }
 
@@ -69,6 +70,16 @@ impl Image {
     /// modified; the pipeline clones it.
     pub fn builder(base: &Module) -> ImageBuilder<'_> {
         ImageBuilder { base }
+    }
+
+    /// The simulator configuration that runs this image as built: its
+    /// defenses, charged by its architecture's backend.
+    pub fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            defenses: self.config.defenses,
+            arch: self.config.arch,
+            ..SimConfig::default()
+        }
     }
 }
 
@@ -414,17 +425,13 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
         }
     }
 
-    /// Runs the hardening phase: validates (and under
-    /// [`ValidationPolicy::Repair`], repairs) the profile against the base,
-    /// clones the base, runs the transform stages in order — indirect call
-    /// promotion and the security inliner per the
-    /// configuration (ICP first, as in the paper), dead-function elimination
-    /// when enabled, then the defense transforms — each with a post-stage
-    /// verify — audits the result, and verifies the final module.
-    ///
-    /// Under [`ValidationPolicy::TrustProfile`] both profile validation and
-    /// the per-stage verification are skipped (the legacy fast path with a
-    /// single end-of-pipeline verify).
+    /// Runs the hardening phase: validates (and, when dirty, repairs) the
+    /// profile against the base, clones and verifies the base, runs the
+    /// transform stages in order — indirect call promotion and the security
+    /// inliner per the configuration (ICP first, as in the paper),
+    /// dead-function elimination when enabled, then the defense transforms
+    /// — each with a post-stage verify — audits the result, and verifies
+    /// the final module.
     ///
     /// # Errors
     /// * [`PipelineError::StageFailed`] — a stage produced invalid IR;
@@ -444,10 +451,6 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
                     pibe_trace::Value::from(format!("{:?}", config.defenses)),
                 ),
                 ("arch", pibe_trace::Value::from(config.arch.name())),
-                (
-                    "validation",
-                    pibe_trace::Value::from(format!("{:?}", config.validation)),
-                ),
             ]
         });
 
@@ -457,12 +460,10 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
         let module = timed(&mut metrics.clone_ns, "stage.clone", || self.base.clone());
         // Input verification: reject corrupt bases before any pass touches
         // them, so a stage failure always implicates the stage.
-        if self.guarded() {
-            timed(&mut metrics.verify_ns, "stage.verify", || {
-                module.verify_threaded(threads)
-            })
-            .map_err(PipelineError::InvalidModule)?;
-        }
+        timed(&mut metrics.verify_ns, "stage.verify", || {
+            module.verify_threaded(threads)
+        })
+        .map_err(PipelineError::InvalidModule)?;
 
         let mut work = Work {
             built: Built {
@@ -497,8 +498,7 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
         let size = timed(&mut metrics.size_ns, "stage.size", || {
             ImageSize::of(&module, backend, config.defenses)
         });
-        // Final verification runs under every policy: no image leaves the
-        // pipeline unverified.
+        // No image leaves the pipeline unverified.
         timed(&mut metrics.verify_ns, "stage.verify", || {
             module.verify_threaded(threads)
         })
@@ -521,26 +521,15 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
         })
     }
 
-    /// Whether each stage's output is verified; trusting the profile also
-    /// means trusting the passes.
-    fn guarded(&self) -> bool {
-        !matches!(self.config.validation, ValidationPolicy::TrustProfile)
-    }
-
-    /// The profile the passes consume: the input itself, or under
-    /// [`ValidationPolicy::Repair`] a repaired copy of a dirty one (with the
-    /// repair report).
+    /// The profile the passes consume: the input itself when it is clean,
+    /// else a repaired copy (with the repair report).
     fn validated_profile(&self) -> (Cow<'p, Profile>, Option<ProfileRepair>) {
-        match self.config.validation {
-            ValidationPolicy::Repair if !self.profile.validate_against(self.base).is_clean() => {
-                let mut fixed = self.profile.clone();
-                let report = fixed.repair_against(self.base);
-                (Cow::Owned(fixed), Some(report))
-            }
-            ValidationPolicy::Repair | ValidationPolicy::TrustProfile => {
-                (Cow::Borrowed(self.profile), None)
-            }
+        if self.profile.validate_against(self.base).is_clean() {
+            return (Cow::Borrowed(self.profile), None);
         }
+        let mut fixed = self.profile.clone();
+        let report = fixed.repair_against(self.base);
+        (Cow::Owned(fixed), Some(report))
     }
 
     /// Runs one row of [`STAGES`]: the pass, the chaos hooks, and the
@@ -560,15 +549,13 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
             }
             (row.run)(work, &self.config);
             self.sabotage(row.stage, &mut work.built.module);
-            if self.guarded() {
-                work.built
-                    .module
-                    .verify_threaded(work.threads)
-                    .map_err(|error| PipelineError::StageFailed {
-                        stage: row.stage,
-                        error,
-                    })?;
-            }
+            work.built
+                .module
+                .verify_threaded(work.threads)
+                .map_err(|error| PipelineError::StageFailed {
+                    stage: row.stage,
+                    error,
+                })?;
             let built = &work.built;
             self.notify(row.stage, &built.module, built.dce_map.as_ref());
             Ok(())
@@ -695,27 +682,17 @@ fn run_dce(w: &mut Work<'_>, _config: &PibeConfig) {
 ///
 /// An empty profile yields no information, so every function becomes a
 /// root (DCE degrades to a verified no-op rather than stripping the whole
-/// module). Profile entries naming out-of-range functions are ignored
-/// (they only survive validation under
-/// [`ValidationPolicy::TrustProfile`]).
+/// module). The profile was validated (and, when dirty, repaired) against
+/// the base, so every function it names exists.
 fn dce_roots(module: &Module, profile: &Profile) -> (Vec<FuncId>, Vec<FuncId>) {
-    let nfuncs = module.len();
-    let roots: Vec<FuncId> = profile
-        .iter_entries()
-        .map(|(func, _count)| func)
-        .filter(|f| f.index() < nfuncs)
-        .collect();
+    let roots: Vec<FuncId> = profile.iter_entries().map(|(func, _count)| func).collect();
     if roots.is_empty() {
         return (module.func_ids().collect(), Vec::new());
     }
-    let mut taken: Vec<FuncId> = Vec::new();
-    for (_site, entries) in profile.iter_indirect() {
-        for e in entries {
-            if e.target.index() < nfuncs {
-                taken.push(e.target);
-            }
-        }
-    }
+    let taken: Vec<FuncId> = profile
+        .iter_indirect()
+        .flat_map(|(_site, entries)| entries.iter().map(|e| e.target))
+        .collect();
     (roots, taken)
 }
 

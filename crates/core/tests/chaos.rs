@@ -10,11 +10,11 @@
 //! * A corrupt base module, or a stage that produces invalid IR, aborts the
 //!   build with a typed [`PipelineError`]; no image leaves the pipeline
 //!   unverified.
-//! * A farm batch containing one panicking configuration still completes
-//!   every other configuration in the batch.
+//! * A farm over a corrupt profile builds every configuration: each build
+//!   repairs the profile on its own.
 
 use pibe::{corrupt_module, Image, StageSnapshot};
-use pibe::{ImageFarm, ModuleCorruption, PibeConfig, PipelineError, Stage, ValidationPolicy};
+use pibe::{ImageFarm, ModuleCorruption, PibeConfig, PipelineError, Stage};
 use pibe_harden::DefenseSet;
 use pibe_ir::{Inst, Module};
 use pibe_kernel::{
@@ -149,18 +149,14 @@ fn corrupt_base_modules_are_rejected_before_any_pass_runs() {
     );
 }
 
-/// The pipeline's one stage-failure policy, as a table over every stage
-/// and both validation policies, with a structural fault injected right
-/// after the stage:
+/// The pipeline's one stage-failure policy, over every stage with a
+/// structural fault injected right after it: the stage's verify aborts the
+/// build with `StageFailed` naming the faulted stage, and the observer saw
+/// exactly the stages before it.
 ///
-/// * `Repair` verifies after every stage, so the build aborts with
-///   `StageFailed` naming the faulted stage, and the observer saw exactly
-///   the stages before it;
-/// * `TrustProfile` skips the post-stage verify, so the same fault reaches
-///   the final verify as `InvalidModule`, after every stage committed.
-///
-/// `Repair` also sweeps a seed window of every corruption kind. A kind that
-/// finds nothing to corrupt at a stage leaves the build clean.
+/// Each stage takes a pinned fault and a seed window of every corruption
+/// kind. A kind that finds nothing to corrupt at a stage leaves the build
+/// clean.
 #[test]
 fn injected_stage_faults_abort_the_build_naming_the_stage() {
     let (module, profile) = fixture();
@@ -168,67 +164,55 @@ fn injected_stage_faults_abort_the_build_naming_the_stage() {
     let config = PibeConfig::builder()
         .lax()
         .defenses(DefenseSet::ALL)
-        .dce(true);
-    // Seed 7 corrupts a function every later stage keeps, so an unverified
-    // fault reaches the final verify.
-    let pinned = (ModuleCorruption::DanglingBlock, 7);
+        .dce(true)
+        .build();
     let base = seed_base();
-    let mut sweep = vec![pinned];
-    sweep.extend((base..base + 24).map(|seed| (ModuleCorruption::from_seed(seed), seed)));
-    let table = [
-        (ValidationPolicy::Repair, &sweep[..]),
-        (ValidationPolicy::TrustProfile, &[pinned][..]),
-    ];
+    let mut faults = vec![(ModuleCorruption::DanglingBlock, 7)];
+    faults.extend((base..base + 24).map(|seed| (ModuleCorruption::from_seed(seed), seed)));
 
     let mut landed = 0;
     for (before, &stage) in stages.iter().enumerate() {
-        for (validation, faults) in table {
-            for &(fault, seed) in faults {
-                let case = format!("{stage}/{validation:?}/{fault}/seed {seed}");
-                let seen = RefCell::new(Vec::new());
-                let observe = |s: StageSnapshot<'_>| seen.borrow_mut().push(s.stage);
-                let result = Image::builder(module)
-                    .profile(profile)
-                    .config(config.validation(validation).build())
-                    .inject_fault(stage, fault, seed)
-                    .observe_stages(&observe)
-                    .build();
-                let committed = match (validation, result) {
-                    // DanglingBlock always lands: every function has blocks.
-                    (ValidationPolicy::Repair, Ok(img))
-                        if fault != ModuleCorruption::DanglingBlock =>
-                    {
-                        img.module
-                            .verify()
-                            .unwrap_or_else(|e| panic!("{case}: {e}"));
-                        continue;
-                    }
-                    (
-                        ValidationPolicy::Repair,
-                        Err(PipelineError::StageFailed { stage: s, .. }),
-                    ) if s == stage => &stages[..before],
-                    (ValidationPolicy::TrustProfile, Err(PipelineError::InvalidModule(_))) => {
-                        &stages[..]
-                    }
-                    (_, other) => panic!("{case}: got {:?}", other.map(|_| "an image")),
-                };
-                assert_eq!(seen.into_inner(), committed, "{case}: observed stages");
-                landed += 1;
+        for &(fault, seed) in &faults {
+            let case = format!("{stage}/{fault}/seed {seed}");
+            let seen = RefCell::new(Vec::new());
+            let observe = |s: StageSnapshot<'_>| seen.borrow_mut().push(s.stage);
+            let result = Image::builder(module)
+                .profile(profile)
+                .config(config)
+                .inject_fault(stage, fault, seed)
+                .observe_stages(&observe)
+                .build();
+            match result {
+                // DanglingBlock always lands: every function has blocks.
+                Ok(img) if fault != ModuleCorruption::DanglingBlock => {
+                    img.module
+                        .verify()
+                        .unwrap_or_else(|e| panic!("{case}: {e}"));
+                    continue;
+                }
+                Err(PipelineError::StageFailed { stage: s, .. }) if s == stage => {}
+                other => panic!("{case}: got {:?}", other.map(|_| "an image")),
             }
+            assert_eq!(
+                seen.into_inner(),
+                &stages[..before],
+                "{case}: observed stages"
+            );
+            landed += 1;
         }
     }
-    // Per stage: both pinned rows, and at least half of the 24 swept seeds.
+    // Per stage: the pinned fault, and at least half of the 24 swept seeds.
     assert!(
-        landed >= stages.len() * (2 + 12),
+        landed >= stages.len() * (1 + 12),
         "most injected faults must land: {landed}"
     );
 }
 
 #[test]
-fn farm_batch_with_one_panicking_config_completes_every_other() {
+fn a_farm_over_a_poisoned_profile_builds_every_config() {
     let (module, profile) = fixture();
-    // Plant the panic route: a dangling value-profile target as the
-    // hottest promotion candidate, consumed with validation off.
+    // A dangling value-profile target planted as the hottest promotion
+    // candidate: the input that would crash the passes unrepaired.
     let base = seed_base();
     let poisoned_profile = (base..base + 200)
         .find_map(|seed| {
@@ -238,35 +222,20 @@ fn farm_batch_with_one_panicking_config_completes_every_other() {
         .expect("some seed plants a dangling target");
     let farm = ImageFarm::new(module.clone(), poisoned_profile).with_threads(3);
 
-    let poisoned = PibeConfig::builder()
-        .lax()
-        .defenses(DefenseSet::ALL)
-        .validation(ValidationPolicy::TrustProfile)
-        .build();
-    let healthy = [
+    let batch = [
         PibeConfig::lto(),
         PibeConfig::lto_with(DefenseSet::ALL),
         PibeConfig::lax(DefenseSet::ALL),
         PibeConfig::lax(DefenseSet::RETPOLINES),
+        PibeConfig::lax(DefenseSet::ALL).with_dce(true),
     ];
-    let mut batch = healthy.to_vec();
-    batch.insert(2, poisoned);
-
-    let err = farm.images(&batch).expect_err("poisoned config fails");
-    assert!(
-        matches!(err, PipelineError::StagePanicked { .. }),
-        "wanted a contained panic, got {err}"
-    );
-
-    // Every healthy configuration was built despite the panic and is now a
-    // cache hit; the panic is cached as a failure, not retried.
-    let builds = farm.stats().builds;
-    for cfg in &healthy {
-        let img = farm.image(cfg).expect("healthy config completed");
-        img.module.verify().expect("healthy image verifies");
+    let images = farm.images(&batch).expect("every config builds");
+    for (cfg, img) in batch.iter().zip(&images) {
+        img.module.verify().expect("image verifies");
+        let repair = img.repair.as_ref().expect("repair report attached");
+        assert!(repair.changed(), "{cfg:?}: repair acted");
     }
-    assert_eq!(farm.stats().builds, builds, "no rebuilds");
-    assert_eq!(farm.stats().failed, 1, "exactly the poisoned config failed");
-    assert!(farm.image(&poisoned).is_err(), "failure stays cached");
-    assert_eq!(farm.stats().builds, builds);
+    let stats = farm.stats();
+    assert_eq!(stats.builds, batch.len() as u64);
+    assert_eq!(stats.failed, 0, "no configuration failed");
 }

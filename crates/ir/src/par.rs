@@ -80,20 +80,6 @@ pub fn parse_threads(var: &'static str, value: &str) -> Result<usize, EnvThreads
     }
 }
 
-/// Reads [`THREADS_VAR`] from the environment: `Ok(Some(n))` when set to a
-/// positive integer, `Ok(None)` when unset.
-///
-/// # Errors
-/// Returns [`EnvThreadsError`] when the variable is set but malformed —
-/// callers with a user interface (the serve loop's config) surface the
-/// error; [`default_threads`] panics on it.
-pub fn threads_from_env() -> Result<Option<usize>, EnvThreadsError> {
-    match std::env::var(THREADS_VAR) {
-        Ok(v) => parse_threads(THREADS_VAR, &v).map(Some),
-        Err(_) => Ok(None),
-    }
-}
-
 /// Worker count implied by the environment: the `PIBE_BUILD_THREADS`
 /// variable when set to a positive integer, otherwise the machine's
 /// available parallelism.
@@ -101,12 +87,11 @@ pub fn threads_from_env() -> Result<Option<usize>, EnvThreadsError> {
 /// # Panics
 /// Panics (with the [`EnvThreadsError`] message) when the variable is set
 /// but malformed. A typo must not silently degrade a measurement run to an
-/// unintended thread count; fallible callers use [`threads_from_env`].
+/// unintended thread count.
 pub fn default_threads() -> usize {
-    match threads_from_env() {
-        Ok(Some(n)) => n,
-        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Err(e) => panic!("{e}"),
+    match std::env::var(THREADS_VAR) {
+        Ok(v) => parse_threads(THREADS_VAR, &v).unwrap_or_else(|e| panic!("{e}")),
+        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 

@@ -16,8 +16,8 @@
 //!   profiles, which are safe to optimize with — the passes simply find no
 //!   candidates).
 //!
-//! The pipeline repairs by default; its `ValidationPolicy::TrustProfile`
-//! skips both and consumes the profile as given.
+//! The pipeline validates every profile and repairs a dirty one before any
+//! pass consumes it.
 
 use crate::profile::{Profile, ValueProfileEntry};
 use pibe_ir::{FuncId, Inst, Module, SiteId};

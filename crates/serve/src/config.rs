@@ -1,27 +1,6 @@
-//! Service configuration: the `PIBE_SERVE_*` environment knobs with typed
-//! parse errors.
-//!
-//! Every knob fails loudly: a typo'd `PIBE_SERVE_RETRIES=two` returns a
-//! [`ServeConfigError`] naming the variable, the rejected value, and the
-//! reason — it never silently falls back to a default the operator did not
-//! choose (the same contract `PIBE_BUILD_THREADS` keeps through
-//! [`pibe_ir::par::threads_from_env`]).
+//! Service configuration: the epoch loop's supervision settings.
 
-use pibe_ir::par::EnvThreadsError;
-use std::fmt;
 use std::time::Duration;
-
-/// Environment variable bounding one rebuild attempt's wall-clock time, in
-/// milliseconds.
-pub const WATCHDOG_MS_VAR: &str = "PIBE_SERVE_WATCHDOG_MS";
-/// Environment variable selecting how many times a recoverable rebuild
-/// failure is retried within one epoch.
-pub const RETRIES_VAR: &str = "PIBE_SERVE_RETRIES";
-/// Environment variable selecting how many *consecutive* failed epochs
-/// freeze the service.
-pub const FREEZE_AFTER_VAR: &str = "PIBE_SERVE_FREEZE_AFTER";
-/// Environment variable selecting the base retry backoff, in milliseconds.
-pub const BACKOFF_MS_VAR: &str = "PIBE_SERVE_BACKOFF_MS";
 
 /// Tuning of the epoch loop's supervision machinery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,11 +13,9 @@ pub struct ServeConfig {
     pub max_retries: u32,
     /// Consecutive failed epochs after which the service freezes (≥ 1).
     pub freeze_after: u32,
-    /// Base backoff slept before retry `k` as `backoff << k`
+    /// Base backoff; see [`ServeConfig::backoff_before`]
     /// (`Duration::ZERO` disables sleeping — what the tests use).
     pub backoff: Duration,
-    /// Worker threads per rebuild (the pipeline's per-function stages).
-    pub threads: usize,
 }
 
 impl Default for ServeConfig {
@@ -48,112 +25,25 @@ impl Default for ServeConfig {
             max_retries: 2,
             freeze_after: 3,
             backoff: Duration::from_millis(25),
-            threads: 1,
         }
-    }
-}
-
-/// Why a `PIBE_SERVE_*` value was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KnobErrorKind {
-    /// Not an unsigned integer.
-    NotANumber,
-    /// Parsed, but zero where the knob requires a positive value.
-    Zero,
-}
-
-/// A malformed serve-loop environment variable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeConfigError {
-    /// A `PIBE_SERVE_*` knob failed to parse.
-    Knob {
-        /// The environment variable that was set.
-        var: &'static str,
-        /// The rejected value, as found in the environment.
-        value: String,
-        /// Why it was rejected.
-        reason: KnobErrorKind,
-    },
-    /// `PIBE_BUILD_THREADS` failed to parse.
-    Threads(EnvThreadsError),
-}
-
-impl fmt::Display for ServeConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeConfigError::Knob { var, value, reason } => match reason {
-                KnobErrorKind::NotANumber => write!(
-                    f,
-                    "{var}={value:?} is not a count (expected an unsigned integer)"
-                ),
-                KnobErrorKind::Zero => write!(f, "{var}=0 is out of range (must be positive)"),
-            },
-            ServeConfigError::Threads(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for ServeConfigError {}
-
-impl From<EnvThreadsError> for ServeConfigError {
-    fn from(e: EnvThreadsError) -> Self {
-        ServeConfigError::Threads(e)
-    }
-}
-
-/// Parses one knob value (attributed to `var`), requiring a positive value
-/// when `nonzero`.
-///
-/// # Errors
-/// Returns [`ServeConfigError::Knob`] when the value is malformed.
-pub fn parse_knob(var: &'static str, value: &str, nonzero: bool) -> Result<u64, ServeConfigError> {
-    match value.trim().parse::<u64>() {
-        Ok(0) if nonzero => Err(ServeConfigError::Knob {
-            var,
-            value: value.to_string(),
-            reason: KnobErrorKind::Zero,
-        }),
-        Ok(n) => Ok(n),
-        Err(_) => Err(ServeConfigError::Knob {
-            var,
-            value: value.to_string(),
-            reason: KnobErrorKind::NotANumber,
-        }),
-    }
-}
-
-fn knob_from_env(var: &'static str, nonzero: bool) -> Result<Option<u64>, ServeConfigError> {
-    match std::env::var(var) {
-        Ok(v) => parse_knob(var, &v, nonzero).map(Some),
-        Err(_) => Ok(None),
     }
 }
 
 impl ServeConfig {
-    /// Reads the configuration from the environment, starting from
-    /// [`ServeConfig::default`] and overriding each knob that is set.
-    ///
-    /// # Errors
-    /// Returns the first [`ServeConfigError`] for a set-but-malformed
-    /// variable; an unset variable keeps its default.
-    pub fn from_env() -> Result<Self, ServeConfigError> {
-        let mut cfg = ServeConfig::default();
-        if let Some(ms) = knob_from_env(WATCHDOG_MS_VAR, true)? {
-            cfg.watchdog = Duration::from_millis(ms);
+    /// The backoff slept before retry number `retry`: `backoff << (retry -
+    /// 1)`, so the sleep preceding the second attempt (`retry = 1`) is the
+    /// base. No sleep precedes the first attempt (`retry = 0`). Purely
+    /// arithmetic — two services configured identically back off
+    /// identically — and saturating instead of overflowing for absurd
+    /// retry counts.
+    pub fn backoff_before(&self, retry: u32) -> Duration {
+        if retry == 0 || self.backoff.is_zero() {
+            return Duration::ZERO;
         }
-        if let Some(n) = knob_from_env(RETRIES_VAR, false)? {
-            cfg.max_retries = n.min(u32::MAX as u64) as u32;
-        }
-        if let Some(n) = knob_from_env(FREEZE_AFTER_VAR, true)? {
-            cfg.freeze_after = n.min(u32::MAX as u64) as u32;
-        }
-        if let Some(ms) = knob_from_env(BACKOFF_MS_VAR, false)? {
-            cfg.backoff = Duration::from_millis(ms);
-        }
-        if let Some(threads) = pibe_ir::par::threads_from_env()? {
-            cfg.threads = threads;
-        }
-        Ok(cfg)
+        let shift = (retry - 1).min(16);
+        self.backoff
+            .checked_mul(1u32 << shift)
+            .unwrap_or(Duration::MAX)
     }
 }
 
@@ -162,49 +52,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn knobs_parse_and_reject_with_typed_errors() {
-        assert_eq!(parse_knob(RETRIES_VAR, "0", false), Ok(0));
-        assert_eq!(parse_knob(WATCHDOG_MS_VAR, " 500 ", true), Ok(500));
-
-        let err = parse_knob(FREEZE_AFTER_VAR, "0", true).unwrap_err();
-        assert!(matches!(
-            err,
-            ServeConfigError::Knob {
-                var: FREEZE_AFTER_VAR,
-                reason: KnobErrorKind::Zero,
-                ..
-            }
-        ));
-        assert!(err.to_string().contains(FREEZE_AFTER_VAR));
-
-        for bad in ["two", "-1", "1.5", ""] {
-            let err = parse_knob(RETRIES_VAR, bad, false).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    ServeConfigError::Knob {
-                        reason: KnobErrorKind::NotANumber,
-                        ..
-                    }
-                ),
-                "{bad:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn thread_errors_carry_through() {
-        let e = pibe_ir::par::parse_threads(pibe_ir::par::THREADS_VAR, "many").unwrap_err();
-        let wrapped = ServeConfigError::from(e.clone());
-        assert_eq!(wrapped, ServeConfigError::Threads(e));
-        assert!(wrapped.to_string().contains("PIBE_BUILD_THREADS"));
-    }
-
-    #[test]
     fn defaults_are_sane() {
         let cfg = ServeConfig::default();
         assert!(cfg.freeze_after >= 1);
         assert!(cfg.watchdog > Duration::ZERO);
-        assert_eq!(cfg.threads, 1);
+    }
+
+    #[test]
+    fn backoff_doubles_deterministically() {
+        let cfg = ServeConfig {
+            backoff: Duration::from_millis(10),
+            ..ServeConfig::default()
+        };
+        assert_eq!(cfg.backoff_before(0), Duration::ZERO);
+        assert_eq!(cfg.backoff_before(1), Duration::from_millis(10));
+        assert_eq!(cfg.backoff_before(2), Duration::from_millis(20));
+        assert_eq!(cfg.backoff_before(3), Duration::from_millis(40));
+        // Same configuration, same schedule.
+        assert_eq!(cfg.backoff_before(3), cfg.backoff_before(3));
+    }
+
+    #[test]
+    fn zero_backoff_never_sleeps_and_huge_retries_saturate() {
+        let cfg = ServeConfig {
+            backoff: Duration::ZERO,
+            ..ServeConfig::default()
+        };
+        assert_eq!(cfg.backoff_before(7), Duration::ZERO);
+        let cfg = ServeConfig {
+            backoff: Duration::from_secs(u64::MAX / 2),
+            ..ServeConfig::default()
+        };
+        assert_eq!(cfg.backoff_before(40), Duration::MAX);
     }
 }

@@ -33,8 +33,8 @@
 //!   never reach the cumulative profile, and a noisy shard never degrades
 //!   the service's health.
 //! * **Last-known-good everything** ([`PibeService`]): rebuilds run under a
-//!   wall-clock [`watchdog`] with bounded, deterministically-backed-off
-//!   [`retry`]; any exhausted failure rolls the *entire epoch* back —
+//!   wall-clock [`watchdog`] with bounded retries, deterministically backed
+//!   off ([`ServeConfig::backoff_before`]); any exhausted failure rolls the *entire epoch* back —
 //!   profile merge included — and the previous image keeps being served.
 //!   The [`ServiceState`] machine (`Healthy → Degraded → Frozen`) freezes
 //!   after repeated or unrecoverable failures instead of flapping forever.
@@ -53,15 +53,13 @@
 
 pub mod config;
 pub mod delta;
-pub mod retry;
 pub mod service;
 pub mod state;
 pub mod stream;
 pub mod watchdog;
 
-pub use config::{KnobErrorKind, ServeConfig, ServeConfigError};
+pub use config::ServeConfig;
 pub use delta::{ProfileDelta, QuarantineReason, QuarantinedDelta};
-pub use retry::RetryPolicy;
 pub use service::{drift_config, PibeService, PipelineRebuilder, RebuildFailure, Rebuilder};
 pub use state::{EpochJournal, EpochOutcome, EpochRecord, ReplaySummary, ServiceState};
 pub use stream::{DeltaStream, StreamConfig, StreamStats};

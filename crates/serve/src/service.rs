@@ -3,7 +3,6 @@
 
 use crate::config::ServeConfig;
 use crate::delta::{ProfileDelta, QuarantineReason, QuarantinedDelta};
-use crate::retry::RetryPolicy;
 use crate::state::{EpochJournal, EpochOutcome, EpochRecord, ServiceState};
 use crate::watchdog::{supervise, WatchdogVerdict};
 use pibe::{Image, PibeConfig, PipelineError};
@@ -78,11 +77,11 @@ pub trait Rebuilder: Send + Sync {
         base: &Module,
         profile: &Profile,
         config: &PibeConfig,
-        threads: usize,
     ) -> Result<Image, PipelineError>;
 }
 
-/// The production rebuilder: the real pipeline.
+/// The production rebuilder: the real pipeline, with its per-function
+/// stages on one thread.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PipelineRebuilder;
 
@@ -92,12 +91,11 @@ impl Rebuilder for PipelineRebuilder {
         base: &Module,
         profile: &Profile,
         config: &PibeConfig,
-        threads: usize,
     ) -> Result<Image, PipelineError> {
         Image::builder(base)
             .profile(profile)
             .config(*config)
-            .threads(threads)
+            .threads(1)
             .build()
     }
 }
@@ -189,7 +187,7 @@ impl PibeService {
         let image = Image::builder(&base)
             .profile(&initial)
             .config(config)
-            .threads(serve.threads)
+            .threads(1)
             .build()?;
         let index = ModuleIndex::new(&base);
         let drift = drift_config(&config);
@@ -389,10 +387,6 @@ impl PibeService {
     /// failures. Returns the image and the number of retries burned, or the
     /// final failure.
     fn supervised_rebuild(&self, profile: &Profile) -> Result<(Image, u32), (RebuildFailure, u32)> {
-        let policy = RetryPolicy {
-            max_retries: self.serve.max_retries,
-            base: self.serve.backoff,
-        };
         let mut retries = 0;
         loop {
             let _span = pibe_trace::span_args("serve.rebuild", || {
@@ -401,10 +395,9 @@ impl PibeService {
             let base = Arc::clone(&self.base);
             let profile = Arc::new(profile.clone());
             let config = self.config;
-            let threads = self.serve.threads;
             let rebuilder = Arc::clone(&self.rebuilder);
             let verdict = supervise(self.serve.watchdog, move || {
-                rebuilder.rebuild(&base, &profile, &config, threads)
+                rebuilder.rebuild(&base, &profile, &config)
             });
             let failure = match verdict {
                 WatchdogVerdict::Completed(Ok(image)) => return Ok((image, retries)),
@@ -414,11 +407,11 @@ impl PibeService {
                 }
                 WatchdogVerdict::TimedOut { waited } => RebuildFailure::TimedOut { waited },
             };
-            if !failure.is_recoverable() || retries >= policy.max_retries {
+            if !failure.is_recoverable() || retries >= self.serve.max_retries {
                 return Err((failure, retries));
             }
             retries += 1;
-            let pause = policy.backoff(retries);
+            let pause = self.serve.backoff_before(retries);
             if !pause.is_zero() {
                 std::thread::sleep(pause);
             }

@@ -75,7 +75,6 @@ fn serve_config() -> ServeConfig {
         max_retries: 0,
         freeze_after: 2,
         backoff: Duration::ZERO,
-        threads: 1,
     }
 }
 
@@ -116,7 +115,6 @@ impl Rebuilder for FlakyRebuilder {
         base: &Module,
         profile: &Profile,
         config: &PibeConfig,
-        threads: usize,
     ) -> Result<Image, PipelineError> {
         if self
             .remaining_failures
@@ -127,7 +125,7 @@ impl Rebuilder for FlakyRebuilder {
                 message: "transient worker fault".into(),
             });
         }
-        PipelineRebuilder.rebuild(base, profile, config, threads)
+        PipelineRebuilder.rebuild(base, profile, config)
     }
 }
 
@@ -141,10 +139,9 @@ impl Rebuilder for HangingRebuilder {
         base: &Module,
         profile: &Profile,
         config: &PibeConfig,
-        threads: usize,
     ) -> Result<Image, PipelineError> {
         std::thread::sleep(self.delay);
-        PipelineRebuilder.rebuild(base, profile, config, threads)
+        PipelineRebuilder.rebuild(base, profile, config)
     }
 }
 
@@ -156,7 +153,6 @@ impl Rebuilder for FatalRebuilder {
         _base: &Module,
         _profile: &Profile,
         _config: &PibeConfig,
-        _threads: usize,
     ) -> Result<Image, PipelineError> {
         Err(PipelineError::InvalidModule(VerifyError::EmptyFunction {
             func: pibe_ir::FuncId::from_raw(0),

@@ -33,7 +33,6 @@ fn soak_200_epochs_of_corrupted_shards_stays_bit_identical_and_never_freezes() {
         max_retries: 1,
         freeze_after: 3,
         backoff: Duration::ZERO,
-        threads: 1,
     };
 
     let mut stream = DeltaStream::new(

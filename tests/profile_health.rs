@@ -1,8 +1,7 @@
 //! Pipeline-level coverage of every [`ProfileIssue`] variant: validation
-//! reports a typed issue *naming the faulty entity*; under the default
-//! [`ValidationPolicy::Repair`](pibe::ValidationPolicy::Repair) the build
-//! succeeds and the attached [`ProfileRepair`] reports exactly what was
-//! fixed.
+//! reports a typed issue *naming the faulty entity*; the build repairs the
+//! profile, succeeds, and the attached [`ProfileRepair`] reports exactly
+//! what was fixed.
 
 use pibe::{Image, PibeConfig};
 use pibe_harden::DefenseSet;

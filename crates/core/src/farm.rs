@@ -74,23 +74,6 @@ impl ImageFarm {
         }
     }
 
-    /// A fresh farm over the **same** base module but a new profile — the
-    /// continuous-PGO epoch pattern. The module `Arc` is shared (no clone;
-    /// builds keep sharing the copy-on-write function bodies), the image
-    /// cache starts empty (images are keyed by configuration, and every
-    /// cached image embodies decisions made against the *old* profile), and
-    /// the worker-pool width carries over.
-    pub fn rebase_profile(&self, profile: Arc<Profile>) -> ImageFarm {
-        ImageFarm {
-            base: Arc::clone(&self.base),
-            profile,
-            cache: Mutex::new(HashMap::new()),
-            requests: AtomicU64::new(0),
-            builds: AtomicU64::new(0),
-            threads: self.threads,
-        }
-    }
-
     /// Overrides the worker-pool width (must be at least 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "a farm needs at least one worker");
@@ -103,16 +86,6 @@ impl ImageFarm {
     /// parallelism.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The immutable base module every build clones.
-    pub fn base(&self) -> &Module {
-        &self.base
-    }
-
-    /// The profile every build optimizes against.
-    pub fn profile(&self) -> &Profile {
-        &self.profile
     }
 
     /// Locks the slot map. The lock is never held across a build, and every
@@ -302,20 +275,12 @@ impl ImageFarm {
 }
 
 /// Runs `build`, turning a panic into [`PipelineError::StagePanicked`]
-/// carrying the panic message (when the payload is a string).
+/// (see [`PipelineError::from_panic`]).
 fn contain(
     build: impl FnOnce() -> Result<Arc<Image>, PipelineError>,
 ) -> Result<Arc<Image>, PipelineError> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)).unwrap_or_else(|payload| {
-        let message = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        Err(PipelineError::StagePanicked { message })
-    })
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
+        .unwrap_or_else(|payload| Err(PipelineError::from_panic(payload)))
 }
 
 #[cfg(test)]
@@ -377,26 +342,6 @@ mod tests {
         assert!(agg.total_ns > 0);
         assert!(agg.clone_ns > 0);
         assert_eq!(farm.stats().failed, 0);
-    }
-
-    #[test]
-    fn rebase_profile_shares_base_and_resets_cache() {
-        let farm = test_farm();
-        let cfg = PibeConfig::lax(DefenseSet::ALL);
-        farm.image(&cfg).expect("builds");
-
-        let mut p2 = farm.profile().clone();
-        p2.merge(&farm.profile().clone()); // epoch: counts doubled
-        let rebased = farm.rebase_profile(Arc::new(p2));
-        assert!(
-            std::ptr::eq(farm.base(), rebased.base()),
-            "base module Arc is shared, not cloned"
-        );
-        assert_eq!(rebased.stats().cached, 0, "image cache starts empty");
-        assert_eq!(rebased.threads(), farm.threads());
-        rebased.image(&cfg).expect("rebuilds under the new profile");
-        assert_eq!(rebased.stats().builds, 1);
-        assert_eq!(farm.stats().builds, 1, "old farm untouched");
     }
 
     #[test]

@@ -38,6 +38,7 @@
 
 pub mod chaos;
 mod config;
+mod drift;
 pub mod eval;
 pub mod experiments;
 mod farm;
@@ -46,6 +47,9 @@ pub mod report;
 
 pub use chaos::{corrupt_module, ModuleCorruption, SemanticCorruption};
 pub use config::{PibeConfig, PibeConfigBuilder};
+pub use drift::{
+    ClosureFacts, DecisionSurface, DriftReport, IcpSiteDecision, InlineCandidate, ModuleIndex,
+};
 pub use farm::{FarmStats, ImageFarm};
 pub use pibe_harden::{Arch, DefenseBackend, DefenseSet};
 /// The tracer every stage records into, for dependents that read a

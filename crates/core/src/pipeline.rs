@@ -31,6 +31,7 @@ use pibe_passes::{
 use pibe_profile::{Profile, ProfileRepair};
 use pibe_sim::SimConfig;
 use serde::{Deserialize, Serialize};
+use std::any::Any;
 use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
@@ -275,6 +276,20 @@ impl PipelineError {
             PipelineError::StageFailed { .. } | PipelineError::StagePanicked { .. } => true,
             PipelineError::InvalidModule(_) | PipelineError::AuditFailed(_) => false,
         }
+    }
+
+    /// A contained panic (the payload `catch_unwind` returns) as
+    /// [`Self::StagePanicked`], carrying the panic message when the payload
+    /// is a string.
+    pub fn from_panic(payload: Box<dyn Any + Send>) -> Self {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        PipelineError::StagePanicked { message }
     }
 }
 
@@ -663,14 +678,16 @@ const STAGES: [StageRow; 4] = [
 /// which replaces the current one.
 fn run_dce(w: &mut Work<'_>, _config: &PibeConfig) {
     let b = &mut w.built;
-    let (roots, taken) = dce_roots(&b.module, w.profile);
+    let (roots, taken) =
+        dce_roots(w.profile).unwrap_or_else(|| (b.module.func_ids().collect(), Vec::new()));
     let (stripped, map, stats) = strip_unreachable_threaded(&b.module, &roots, &taken, w.threads);
     b.module = stripped;
     b.dce_stats = Some(stats);
     b.dce_map = Some(map);
 }
 
-/// Derives the DCE root and address-taken sets from the profile.
+/// Derives the DCE root and address-taken sets from the profile — the one
+/// DCE root rule, shared by the pass and the serve loop's decision surface.
 ///
 /// * Roots: every function the profile recorded an entry for. The profiler
 ///   records an entry on *every* dynamic function entry, so this is the set
@@ -680,20 +697,21 @@ fn run_dce(w: &mut Work<'_>, _config: &PibeConfig) {
 ///   stand-in for relocation-visible function addresses (an indirect call
 ///   may reach them even when no static edge does).
 ///
-/// An empty profile yields no information, so every function becomes a
-/// root (DCE degrades to a verified no-op rather than stripping the whole
-/// module). The profile was validated (and, when dirty, repaired) against
-/// the base, so every function it names exists.
-fn dce_roots(module: &Module, profile: &Profile) -> (Vec<FuncId>, Vec<FuncId>) {
+/// An empty profile yields no information: the result is `None`, and every
+/// function becomes a root with nothing address-taken (DCE degrades to a
+/// verified no-op rather than stripping the whole module). The profile was
+/// validated (and, when dirty, repaired) against the base, so every
+/// function it names exists.
+pub(crate) fn dce_roots(profile: &Profile) -> Option<(Vec<FuncId>, Vec<FuncId>)> {
     let roots: Vec<FuncId> = profile.iter_entries().map(|(func, _count)| func).collect();
     if roots.is_empty() {
-        return (module.func_ids().collect(), Vec::new());
+        return None;
     }
     let taken: Vec<FuncId> = profile
         .iter_indirect()
         .flat_map(|(_site, entries)| entries.iter().map(|e| e.target))
         .collect();
-    (roots, taken)
+    Some((roots, taken))
 }
 
 #[cfg(test)]

@@ -83,21 +83,21 @@ pub struct IcpStats {
     pub skipped_sites: u64,
 }
 
-/// Runs indirect call promotion over `module`, updating `weights` with the
-/// estimated counts of the freshly created direct-call sites.
-///
-/// Promotion must run *before* the inliner (it is what creates the inliner's
-/// hottest candidates); the paper's pipeline does the same.
-pub fn promote_indirect_calls(
-    module: &mut Module,
-    weights: &mut SiteWeights,
-    profile: &Profile,
-    config: &IcpConfig,
-) -> IcpStats {
-    let _pass_span = pibe_trace::span("pass.icp");
-    let mut stats = IcpStats::default();
+/// One site's promotion plan: the site and the targets the budget selected
+/// for it, hottest first, cut to the per-site cap.
+pub type SitePlan = (SiteId, Vec<(FuncId, u64)>);
 
-    // Gather (site, target, weight) candidates from the value profiles.
+/// ICP's budget selection: gathers every profiled `(site, target)` pair,
+/// selects the hottest prefix covering `config.budget`, and groups the
+/// selected targets per site in selection order (hottest first), keeping at
+/// most `config.max_targets_per_site` per site.
+///
+/// Returns the per-site plans in promotion order and the stats of the
+/// candidate population (the promotion counters are left at zero). This is
+/// the one implementation of the selection: [`promote_indirect_calls`] runs
+/// it, and so does the serve loop's decision surface.
+pub fn select_promotions(profile: &Profile, config: &IcpConfig) -> (Vec<SitePlan>, IcpStats) {
+    let mut stats = IcpStats::default();
     let mut candidates: Vec<((SiteId, FuncId), u64)> = Vec::new();
     for (site, entries) in profile.iter_indirect() {
         stats.total_sites += 1;
@@ -111,27 +111,43 @@ pub fn promote_indirect_calls(
     let selected = select_by_budget(&candidates, config.budget);
     stats.candidate_targets = selected.len() as u64;
 
-    // Group the selected targets per site, hottest first (selection order).
-    let mut per_site: HashMap<SiteId, Vec<(FuncId, u64)>> = HashMap::new();
-    let mut site_order: Vec<SiteId> = Vec::new();
+    let mut plans: Vec<SitePlan> = Vec::new();
+    let mut slot: HashMap<SiteId, usize> = HashMap::new();
     for ((site, target), w) in selected {
-        let entry = per_site.entry(site).or_default();
-        if entry.is_empty() {
-            site_order.push(site);
-        }
+        let i = *slot.entry(site).or_insert_with(|| {
+            plans.push((site, Vec::new()));
+            plans.len() - 1
+        });
+        let targets = &mut plans[i].1;
         if config
             .max_targets_per_site
-            .is_none_or(|cap| entry.len() < cap)
+            .is_none_or(|cap| targets.len() < cap)
         {
-            entry.push((target, w));
+            targets.push((target, w));
         }
     }
+    (plans, stats)
+}
+
+/// Runs indirect call promotion over `module`, updating `weights` with the
+/// estimated counts of the freshly created direct-call sites.
+///
+/// Promotion must run *before* the inliner (it is what creates the inliner's
+/// hottest candidates); the paper's pipeline does the same.
+pub fn promote_indirect_calls(
+    module: &mut Module,
+    weights: &mut SiteWeights,
+    profile: &Profile,
+    config: &IcpConfig,
+) -> IcpStats {
+    let _pass_span = pibe_trace::span("pass.icp");
+    let (plans, mut stats) = select_promotions(profile, config);
 
     // Index: which function owns each *selected* indirect site (pre-ICP
     // they are static-unique). Only promotion candidates need an owner, so
     // the scan filters before hashing instead of indexing every indirect
     // site in the module.
-    let needed: HashSet<SiteId> = site_order.iter().copied().collect();
+    let needed: HashSet<SiteId> = plans.iter().map(|(site, _)| *site).collect();
     let mut owner: HashMap<SiteId, FuncId> = HashMap::with_capacity(needed.len());
     for f in module.functions() {
         if owner.len() == needed.len() {
@@ -147,8 +163,7 @@ pub fn promote_indirect_calls(
         }
     }
 
-    for site in site_order {
-        let targets = &per_site[&site];
+    for (site, targets) in plans {
         let Some(&func) = owner.get(&site) else {
             // Profiled site no longer exists (e.g. DCE'd); nothing to do.
             stats.skipped_sites += 1;
@@ -158,7 +173,7 @@ pub fn promote_indirect_calls(
             stats.skipped_sites += 1;
             continue;
         }
-        match promote_site(module, weights, func, site, targets) {
+        match promote_site(module, weights, func, site, &targets) {
             PromoteOutcome::Promoted { targets, weight } => {
                 stats.promoted_sites += 1;
                 stats.promoted_targets += targets;

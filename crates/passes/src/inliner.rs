@@ -202,6 +202,29 @@ impl CallLocator {
     }
 }
 
+/// Rule 1's budget selection over a ranked candidate population. Returns
+/// the selected hottest-first prefix, its weight floor and the lax floor.
+///
+/// The weight floor is the coldest selected weight (`u64::MAX` when nothing
+/// is selected): propagated candidates below it are out of budget. Sites at
+/// or above the lax floor are exempt from Rules 2-3; it is `u64::MAX` when
+/// lax mode is off. One ranking answers both budgets. This is the one
+/// implementation of the selection: [`run_inliner`] runs it, and so does the
+/// serve loop's decision surface.
+pub fn rule1_selection<'r, T: Ord + Clone>(
+    ranking: &'r BudgetRanking<T>,
+    config: &InlinerConfig,
+) -> (&'r [(T, u64)], u64, u64) {
+    let selected = ranking.selected(config.budget);
+    let weight_floor = selected.last().map_or(u64::MAX, |(_, w)| *w);
+    let lax_floor = if config.lax_heuristics {
+        ranking.floor(config.lax_budget).unwrap_or(u64::MAX)
+    } else {
+        u64::MAX
+    };
+    (selected, weight_floor, lax_floor)
+}
+
 /// Runs the PIBE inliner over `module`.
 ///
 /// `weights` carries per-site execution counts (lifted from the profile and
@@ -264,21 +287,10 @@ pub fn run_inliner(
     drop(csr_offsets);
     drop(csr_callees);
 
-    // One ranking pass answers both budgets: the selection prefix and, in
-    // lax mode, the lax-exemption floor share the same sorted population.
     let ranking = BudgetRanking::new(&initial);
-    let selected = ranking.selected(config.budget);
+    let (selected, weight_floor, lax_floor) = rule1_selection(&ranking, config);
     stats.candidate_sites = selected.len() as u64;
     stats.candidate_weight = selected.iter().map(|(_, w)| *w).sum();
-    // The coldest selected weight: propagated candidates below it are out of
-    // budget; sites at or above the lax floor are exempt from Rules 2-3 when
-    // lax mode is on.
-    let weight_floor = selected.last().map(|(_, w)| *w).unwrap_or(u64::MAX);
-    let lax_floor = if config.lax_heuristics {
-        ranking.floor(config.lax_budget).unwrap_or(u64::MAX)
-    } else {
-        u64::MAX
-    };
 
     let mut heap: BinaryHeap<Candidate> = selected.iter().map(|(c, _)| *c).collect();
     let mut locator = CallLocator::new(module.len());

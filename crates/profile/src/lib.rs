@@ -28,11 +28,9 @@
 //! accumulators use [`Profile::merge_checked`], which reports every counter
 //! that saturated as a typed [`MergeOverflow`].
 //!
-//! For continuous PGO, the [`drift`] module computes a profile's *decision
-//! surface* — the exact outputs of every budget selection the pipeline
-//! makes — so a re-optimization service can prove that an epoch's profile
-//! update changes no optimization decision and keep serving the previous
-//! image.
+//! The passes own the budget selections built on this arithmetic. The
+//! continuous-PGO *decision surface* (`pibe::DecisionSurface`, in the core
+//! crate) calls the passes' selection code rather than keeping a copy here.
 
 //!
 //! ## Example
@@ -66,7 +64,6 @@
 pub mod analysis;
 mod budget;
 pub mod chaos;
-pub mod drift;
 mod health;
 pub mod overlap;
 mod profile;
@@ -74,6 +71,5 @@ mod profile;
 pub use analysis::{direct_concentration, indirect_concentration, top_direct_sites, Concentration};
 pub use budget::{select_by_budget, Budget, BudgetError, BudgetRanking};
 pub use chaos::{corrupt_profile, ChaosRng, ProfileChaos};
-pub use drift::{DecisionSurface, DriftConfig, DriftReport, IcpSpec, InlineSpec, ModuleIndex};
 pub use health::{ProfileHealth, ProfileIssue, ProfileRepair, COUNT_CLAMP};
 pub use profile::{MergeOverflow, MergeReport, Profile, ProfileStats, ValueProfileEntry};

@@ -20,13 +20,13 @@
 //!
 //! The load-bearing ideas:
 //!
-//! * **Decision-surface drift detection** ([`pibe_profile::DecisionSurface`]):
+//! * **Decision-surface drift detection** ([`pibe::DecisionSurface`]):
 //!   an epoch only needs the pipeline if some profile-driven *decision*
 //!   changed — promoted targets, the inline budget prefix, DCE roots.
-//!   Surface equality is proven by exact replication of the passes'
-//!   selection math, so the fast path is sound: same decisions, same image,
-//!   bit for bit. Re-optimization latency scales with drift, not with
-//!   module size.
+//!   The surface runs the passes' own selection code, so the fast path is
+//!   sound: same decisions, same image, bit for bit. A drifted epoch,
+//!   however few functions drifted, runs a full pipeline rebuild, so its
+//!   latency scales with module size.
 //! * **Typed quarantine** ([`QuarantinedDelta`]): every rejected delta is
 //!   kept with the exact [`pibe_profile::ProfileIssue`]s or
 //!   [`pibe_profile::MergeOverflow`]s that condemned it. Corrupt counts
@@ -45,8 +45,8 @@
 //!
 //! The chaos soak suite (`tests/soak.rs`) drives hundreds of epochs of
 //! corrupted, drifting delta streams ([`DeltaStream`]) through the service
-//! and proves at **every** epoch that the incrementally-maintained image is
-//! bit-identical to a from-scratch rebuild.
+//! and proves at **every** epoch that the served image (rebuilt on drift,
+//! kept on the fast path) is bit-identical to a from-scratch rebuild.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -60,7 +60,7 @@ pub mod watchdog;
 
 pub use config::ServeConfig;
 pub use delta::{ProfileDelta, QuarantineReason, QuarantinedDelta};
-pub use service::{drift_config, PibeService, PipelineRebuilder, RebuildFailure, Rebuilder};
+pub use service::{PibeService, PipelineRebuilder, RebuildFailure, Rebuilder};
 pub use state::{EpochJournal, EpochOutcome, EpochRecord, ReplaySummary, ServiceState};
 pub use stream::{DeltaStream, StreamConfig, StreamStats};
 pub use watchdog::{supervise, WatchdogVerdict};

@@ -5,29 +5,12 @@ use crate::config::ServeConfig;
 use crate::delta::{ProfileDelta, QuarantineReason, QuarantinedDelta};
 use crate::state::{EpochJournal, EpochOutcome, EpochRecord, ServiceState};
 use crate::watchdog::{supervise, WatchdogVerdict};
-use pibe::{Image, PibeConfig, PipelineError};
+use pibe::{DecisionSurface, Image, ModuleIndex, PibeConfig, PipelineError};
 use pibe_ir::Module;
-use pibe_profile::{DecisionSurface, DriftConfig, IcpSpec, InlineSpec, ModuleIndex, Profile};
+use pibe_profile::Profile;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Derives the drift analysis's knobs from the pipeline configuration, so
-/// the surface tracks exactly the decisions this configuration lets the
-/// passes make.
-pub fn drift_config(config: &PibeConfig) -> DriftConfig {
-    DriftConfig {
-        icp: config.icp.map(|icp| IcpSpec {
-            budget: icp.budget,
-            max_targets_per_site: icp.max_targets_per_site,
-        }),
-        inline: config.inliner.map(|inl| InlineSpec {
-            budget: inl.budget,
-            lax_budget: inl.lax_heuristics.then_some(inl.lax_budget),
-        }),
-        dce: config.dce,
-    }
-}
 
 /// How one supervised rebuild attempt failed.
 #[derive(Debug)]
@@ -131,7 +114,6 @@ pub struct PibeService {
     index: ModuleIndex,
     config: PibeConfig,
     serve: ServeConfig,
-    drift: DriftConfig,
     cumulative: Profile,
     surface: DecisionSurface,
     lkg: Arc<Image>,
@@ -190,14 +172,12 @@ impl PibeService {
             .threads(1)
             .build()?;
         let index = ModuleIndex::new(&base);
-        let drift = drift_config(&config);
-        let surface = DecisionSurface::compute(&index, &initial, &drift);
+        let surface = DecisionSurface::compute(&index, &initial, &config);
         Ok(PibeService {
             base: Arc::new(base),
             index,
             config,
             serve,
-            drift,
             cumulative: initial,
             surface,
             lkg: Arc::new(image),
@@ -319,7 +299,7 @@ impl PibeService {
         }
 
         // Phase 3: drift detection against the served image's surface.
-        let new_surface = DecisionSurface::compute(&self.index, &scratch, &self.drift);
+        let new_surface = DecisionSurface::compute(&self.index, &scratch, &self.config);
         let report = self.surface.diff(&new_surface);
         let drifted = report.drifted_functions();
 
@@ -401,9 +381,8 @@ impl PibeService {
             });
             let failure = match verdict {
                 WatchdogVerdict::Completed(Ok(image)) => return Ok((image, retries)),
-                WatchdogVerdict::Completed(Err(e)) => RebuildFailure::Pipeline(e),
-                WatchdogVerdict::Panicked { message } => {
-                    RebuildFailure::Pipeline(PipelineError::StagePanicked { message })
+                WatchdogVerdict::Completed(Err(e)) | WatchdogVerdict::Panicked(e) => {
+                    RebuildFailure::Pipeline(e)
                 }
                 WatchdogVerdict::TimedOut { waited } => RebuildFailure::TimedOut { waited },
             };

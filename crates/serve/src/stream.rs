@@ -1,6 +1,7 @@
 //! Deterministic synthesis of epoch delta streams — clean shard reports,
 //! decision-drifting hot-spot shifts, and chaos-corrupted deltas — for the
-//! soak suite and the serve benchmark.
+//! chaos soak suite. (The benchmark's `serve` workload generates its own
+//! traffic.)
 
 use crate::delta::ProfileDelta;
 use pibe_ir::{FuncId, Module, SiteId};

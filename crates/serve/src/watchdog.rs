@@ -1,5 +1,6 @@
 //! Wall-clock supervision of one rebuild attempt.
 
+use pibe::PipelineError;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -16,12 +17,9 @@ pub enum WatchdogVerdict<T> {
         /// Wall-clock time waited before giving up.
         waited: Duration,
     },
-    /// The computation panicked; the payload (when it was a string) is
-    /// captured.
-    Panicked {
-        /// The panic payload, or a placeholder for non-string payloads.
-        message: String,
-    },
+    /// The computation panicked: the panic as
+    /// [`PipelineError::StagePanicked`] (see [`PipelineError::from_panic`]).
+    Panicked(PipelineError),
 }
 
 /// Runs `f` on a fresh worker thread and waits at most `timeout` for its
@@ -51,21 +49,17 @@ where
 
     match rx.recv_timeout(timeout) {
         Ok(Ok(value)) => WatchdogVerdict::Completed(value),
-        Ok(Err(payload)) => WatchdogVerdict::Panicked {
-            message: payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into()),
-        },
+        Ok(Err(payload)) => WatchdogVerdict::Panicked(PipelineError::from_panic(payload)),
         Err(mpsc::RecvTimeoutError::Timeout) => WatchdogVerdict::TimedOut {
             waited: started.elapsed(),
         },
         // The worker died without sending — only possible if the send
         // itself raced the catch_unwind; treat it like a panic.
-        Err(mpsc::RecvTimeoutError::Disconnected) => WatchdogVerdict::Panicked {
-            message: "rebuild worker disappeared".into(),
-        },
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            WatchdogVerdict::Panicked(PipelineError::StagePanicked {
+                message: "rebuild worker disappeared".into(),
+            })
+        }
     }
 }
 
@@ -103,7 +97,7 @@ mod tests {
             0u8
         });
         match verdict {
-            WatchdogVerdict::Panicked { message } => {
+            WatchdogVerdict::Panicked(PipelineError::StagePanicked { message }) => {
                 assert!(message.contains("rebuild exploded"), "{message}");
             }
             other => panic!("wanted Panicked, got {other:?}"),

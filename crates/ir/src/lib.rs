@@ -67,6 +67,6 @@ pub use callgraph::recursive_marks;
 pub use func::{Block, BlockRef, FnAttrs, Function};
 pub use ids::{BlockId, FuncId, SiteId, Symbol};
 pub use inst::{BranchKind, Cond, Inst, OpKind, Terminator};
-pub use module::{BranchCensus, Module};
+pub use module::{BranchCensus, CallSites, Module};
 pub use text::{parse_module, ParseError};
 pub use verify::VerifyError;

@@ -27,7 +27,8 @@ use crate::ids::{FuncId, SiteId, Symbol};
 use crate::inst::{Inst, Terminator};
 use crate::verify::{self, VerifyError};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A whole program: the analogue of the paper's LTO-linked kernel bitcode.
 ///
@@ -42,11 +43,62 @@ use std::sync::Arc;
 /// check read-only whether a function needs changing before calling
 /// `function_mut` — an unconditional write walk would degrade CoW back into
 /// a deep copy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// # Memoized analyses
+///
+/// The module's [`CallSites`] table is computed on the first
+/// [`Module::call_sites`] call and kept until a `&mut self` method clears
+/// it. `Clone` shares it (a snapshot has the same sites), and it is
+/// invisible to `Debug`, serialization and printing.
+#[derive(Clone)]
 pub struct Module {
     name: String,
     functions: Vec<Arc<Function>>,
     next_site: u64,
+    call_sites: OnceLock<Arc<CallSites>>,
+}
+
+/// The sorted, deduplicated call-site ids of a module, one list per call
+/// kind, as returned by [`Module::call_sites`].
+///
+/// Site ids are arbitrary `u64`s (a text-parsed module can carry any), so
+/// membership is a binary search rather than a dense bitmap.
+#[derive(Debug, PartialEq, Eq)]
+pub struct CallSites {
+    direct: Vec<SiteId>,
+    indirect: Vec<SiteId>,
+}
+
+impl CallSites {
+    fn scan(functions: &[Arc<Function>]) -> Self {
+        let mut direct = Vec::new();
+        let mut indirect = Vec::new();
+        for f in functions {
+            // Flat pool scan: tombstones are plain ops and cannot match.
+            for inst in f.insts() {
+                match inst {
+                    Inst::Call { site, .. } => direct.push(*site),
+                    Inst::CallIndirect { site, .. } => indirect.push(*site),
+                    _ => {}
+                }
+            }
+        }
+        for sites in [&mut direct, &mut indirect] {
+            sites.sort_unstable();
+            sites.dedup();
+        }
+        CallSites { direct, indirect }
+    }
+
+    /// True when `site` is a direct call site of the module.
+    pub fn has_direct(&self, site: SiteId) -> bool {
+        self.direct.binary_search(&site).is_ok()
+    }
+
+    /// True when `site` is an indirect call site of the module.
+    pub fn has_indirect(&self, site: SiteId) -> bool {
+        self.indirect.binary_search(&site).is_ok()
+    }
 }
 
 impl Module {
@@ -56,6 +108,7 @@ impl Module {
             name: name.into(),
             functions: Vec::new(),
             next_site: 0,
+            call_sites: OnceLock::new(),
         }
     }
 
@@ -66,6 +119,7 @@ impl Module {
 
     /// Adds a function, assigning and returning its id.
     pub fn add_function(&mut self, mut f: Function) -> FuncId {
+        self.call_sites.take();
         let id = FuncId::from_raw(self.functions.len() as u32);
         f.id = id;
         self.functions.push(Arc::new(f));
@@ -79,6 +133,7 @@ impl Module {
     /// shared with the input module this way); otherwise the function is
     /// copied once to fix its id.
     pub fn add_function_arc(&mut self, mut f: Arc<Function>) -> FuncId {
+        self.call_sites.take();
         let id = FuncId::from_raw(self.functions.len() as u32);
         if f.id != id {
             Arc::make_mut(&mut f).id = id;
@@ -94,6 +149,7 @@ impl Module {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn replace_function(&mut self, id: FuncId, mut f: Function) {
+        self.call_sites.take();
         f.id = id;
         self.functions[id.index()] = Arc::new(f);
     }
@@ -106,6 +162,7 @@ impl Module {
 
     /// Allocates a fresh, never-used call-site id.
     pub fn fresh_site(&mut self) -> SiteId {
+        self.call_sites.take();
         let id = SiteId::from_raw(self.next_site);
         self.next_site += 1;
         id
@@ -129,6 +186,7 @@ impl Module {
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn function_mut(&mut self, id: FuncId) -> &mut Function {
+        self.call_sites.take();
         Arc::make_mut(&mut self.functions[id.index()])
     }
 
@@ -157,6 +215,7 @@ impl Module {
     /// deterministic parallel merges are keyed by function id.
     pub fn set_function_arc(&mut self, id: FuncId, f: Arc<Function>) {
         assert_eq!(f.id, id, "merged function must keep its id");
+        self.call_sites.take();
         self.functions[id.index()] = f;
     }
 
@@ -184,6 +243,22 @@ impl Module {
             .iter()
             .position(|f| f.name == sym)
             .map(|i| FuncId::from_raw(i as u32))
+    }
+
+    /// The module's direct and indirect call-site ids, scanned on first use
+    /// and memoized until the next `&mut self` call. Profile validation
+    /// reads it, so checking many profiles against one unchanged module
+    /// scans its functions once.
+    pub fn call_sites(&self) -> &CallSites {
+        let sites = self
+            .call_sites
+            .get_or_init(|| Arc::new(CallSites::scan(&self.functions)));
+        debug_assert_eq!(
+            **sites,
+            CallSites::scan(&self.functions),
+            "the memoized call-site table must match a fresh scan"
+        );
+        sites
     }
 
     /// Checks structural invariants; see [`VerifyError`] for the conditions.
@@ -229,6 +304,47 @@ impl Module {
             .iter()
             .map(|f| crate::size::function_bytes(f))
             .sum()
+    }
+}
+
+impl fmt::Debug for Module {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Module")
+            .field("name", &self.name)
+            .field("functions", &self.functions)
+            .field("next_site", &self.next_site)
+            .finish()
+    }
+}
+
+/// The wire form: every field but the call-site memo.
+#[derive(Serialize, Deserialize)]
+struct ModuleWire {
+    name: String,
+    functions: Vec<Arc<Function>>,
+    next_site: u64,
+}
+
+impl Serialize for Module {
+    fn to_value(&self) -> serde::Value {
+        ModuleWire {
+            name: self.name.clone(),
+            functions: self.functions.clone(),
+            next_site: self.next_site,
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for Module {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let w = ModuleWire::from_value(v)?;
+        Ok(Module {
+            name: w.name,
+            functions: w.functions,
+            next_site: w.next_site,
+            call_sites: OnceLock::new(),
+        })
     }
 }
 

@@ -20,7 +20,7 @@
 //! pass consumes it.
 
 use crate::profile::{Profile, ValueProfileEntry};
-use pibe_ir::{FuncId, Inst, Module, SiteId};
+use pibe_ir::{FuncId, Module, SiteId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -230,56 +230,6 @@ impl fmt::Display for ProfileRepair {
     }
 }
 
-/// The module-side universe a profile is checked against: which sites are
-/// direct/indirect calls and how many functions exist.
-///
-/// The site sets are sorted, deduplicated vectors queried by binary search:
-/// site ids are arbitrary `u64`s (a text-parsed module can carry any), so
-/// a dense bitmap is out, and sorting beats hashing every site per build.
-struct SiteUniverse {
-    direct: Vec<SiteId>,
-    indirect: Vec<SiteId>,
-    funcs: usize,
-}
-
-impl SiteUniverse {
-    fn of(module: &Module) -> Self {
-        let mut direct = Vec::new();
-        let mut indirect = Vec::new();
-        for f in module.functions() {
-            // Flat pool scan: tombstones are plain ops and cannot match.
-            for inst in f.insts() {
-                match inst {
-                    Inst::Call { site, .. } => direct.push(*site),
-                    Inst::CallIndirect { site, .. } => indirect.push(*site),
-                    _ => {}
-                }
-            }
-        }
-        for sites in [&mut direct, &mut indirect] {
-            sites.sort_unstable();
-            sites.dedup();
-        }
-        SiteUniverse {
-            direct,
-            indirect,
-            funcs: module.len(),
-        }
-    }
-
-    fn has_direct(&self, site: SiteId) -> bool {
-        self.direct.binary_search(&site).is_ok()
-    }
-
-    fn has_indirect(&self, site: SiteId) -> bool {
-        self.indirect.binary_search(&site).is_ok()
-    }
-
-    fn has_func(&self, f: FuncId) -> bool {
-        f.index() < self.funcs
-    }
-}
-
 impl Profile {
     /// Checks this profile for consistency against `module`: dangling site
     /// and function ids, duplicated or truncated value profiles, saturated
@@ -287,7 +237,8 @@ impl Profile {
     /// the same profile/module pair always reports the same first issue.
     pub fn validate_against(&self, module: &Module) -> ProfileHealth {
         let _span = pibe_trace::span("profile.validate");
-        let u = SiteUniverse::of(module);
+        let sites = module.call_sites();
+        let in_module = |f: FuncId| f.index() < module.len();
         let mut issues = Vec::new();
 
         if self.is_empty() {
@@ -297,7 +248,7 @@ impl Profile {
         let mut direct: Vec<(SiteId, u64)> = self.iter_direct().collect();
         direct.sort_by_key(|(s, _)| *s);
         for (site, count) in direct {
-            if !u.has_direct(site) {
+            if !sites.has_direct(site) {
                 issues.push(ProfileIssue::DanglingDirectSite { site });
             }
             if count == u64::MAX {
@@ -308,7 +259,7 @@ impl Profile {
         let mut indirect: Vec<(SiteId, &[ValueProfileEntry])> = self.iter_indirect().collect();
         indirect.sort_by_key(|(s, _)| *s);
         for (site, entries) in indirect {
-            if !u.has_indirect(site) {
+            if !sites.has_indirect(site) {
                 issues.push(ProfileIssue::DanglingIndirectSite { site });
             }
             if entries.is_empty() {
@@ -316,7 +267,7 @@ impl Profile {
             }
             let mut seen: HashSet<FuncId> = HashSet::new();
             for e in entries {
-                if !u.has_func(e.target) {
+                if !in_module(e.target) {
                     issues.push(ProfileIssue::DanglingTarget {
                         site,
                         target: e.target,
@@ -343,7 +294,7 @@ impl Profile {
         let mut flagged_dangling: HashSet<FuncId> = HashSet::new();
         let mut flagged_saturated: HashSet<FuncId> = HashSet::new();
         for (func, count) in funcs {
-            if !u.has_func(func) && flagged_dangling.insert(func) {
+            if !in_module(func) && flagged_dangling.insert(func) {
                 issues.push(ProfileIssue::DanglingFunc { func });
             }
             if count == u64::MAX && flagged_saturated.insert(func) {
@@ -365,12 +316,13 @@ impl Profile {
     /// than (possibly) [`ProfileIssue::Empty`], which is advisory.
     pub fn repair_against(&mut self, module: &Module) -> ProfileRepair {
         let _span = pibe_trace::span("profile.repair");
-        let u = SiteUniverse::of(module);
+        let sites = module.call_sites();
+        let in_module = |f: FuncId| f.index() < module.len();
         let mut rep = ProfileRepair::default();
         let (direct, indirect, entries, returns) = self.raw_mut();
 
         direct.retain(|site, _| {
-            let keep = u.has_direct(*site);
+            let keep = sites.has_direct(*site);
             if !keep {
                 rep.dropped_direct_sites += 1;
             }
@@ -384,7 +336,7 @@ impl Profile {
         }
 
         indirect.retain(|site, _| {
-            let keep = u.has_indirect(*site);
+            let keep = sites.has_indirect(*site);
             if !keep {
                 rep.dropped_indirect_sites += 1;
             }
@@ -396,7 +348,7 @@ impl Profile {
             let mut merged: HashMap<FuncId, u64> = HashMap::new();
             let mut order_broken = 0u64;
             for e in vp.iter() {
-                if !u.has_func(e.target) {
+                if !in_module(e.target) {
                     rep.dropped_targets += 1;
                     continue;
                 }
@@ -436,7 +388,7 @@ impl Profile {
 
         for map in [entries, returns] {
             map.retain(|func, _| {
-                let keep = u.has_func(*func);
+                let keep = in_module(*func);
                 if !keep {
                     rep.dropped_funcs += 1;
                 }

@@ -26,7 +26,7 @@
 //! [`Profile::repair_against`] fixes them in place; the [`chaos`] module
 //! deterministically *injects* them for fault-tolerance testing. Long-lived
 //! accumulators use [`Profile::merge_checked`], which reports every counter
-//! that saturated as a typed [`MergeOverflow`].
+//! that reached `u64::MAX` as a typed [`MergeOverflow`].
 //!
 //! The passes own the budget selections built on this arithmetic. The
 //! continuous-PGO *decision surface* (`pibe::DecisionSurface`, in the core

@@ -150,7 +150,9 @@ impl Profile {
     }
 
     /// Merges `other` into `self` like [`Profile::merge`], additionally
-    /// reporting every counter whose sum saturated at `u64::MAX`.
+    /// reporting every counter whose sum reached `u64::MAX` — an overflow
+    /// that saturated, or a sum landing exactly on `u64::MAX`, which
+    /// [`Profile::validate_against`] flags as saturated all the same.
     ///
     /// The merge itself is identical to `merge` — saturated counts are
     /// still written (callers that must not accept a lossy merge should
@@ -160,46 +162,42 @@ impl Profile {
     /// profiling service can surface exactly which sites or functions
     /// exhausted their counters after weeks of epoch accumulation.
     pub fn merge_checked(&mut self, other: &Profile) -> MergeReport {
+        /// Adds `c` to `mine`, saturating; true when the result is `u64::MAX`.
+        fn add(mine: &mut u64, c: u64) -> bool {
+            *mine = mine.saturating_add(c);
+            *mine == u64::MAX
+        }
         let mut overflows = Vec::new();
         for (s, c) in &other.direct {
-            let mine = self.direct.entry(*s).or_insert(0);
-            let (sum, wrapped) = mine.overflowing_add(*c);
-            *mine = if wrapped { u64::MAX } else { sum };
-            if wrapped {
+            if add(self.direct.entry(*s).or_insert(0), *c) {
                 overflows.push(MergeOverflow::Direct { site: *s });
             }
         }
         for (s, entries) in &other.indirect {
             let mine = self.indirect.entry(*s).or_default();
             for e in entries {
-                match mine.binary_search_by_key(&e.target, |m| m.target) {
-                    Ok(i) => {
-                        let (sum, wrapped) = mine[i].count.overflowing_add(e.count);
-                        mine[i].count = if wrapped { u64::MAX } else { sum };
-                        if wrapped {
-                            overflows.push(MergeOverflow::Indirect {
-                                site: *s,
-                                target: e.target,
-                            });
-                        }
+                let i = match mine.binary_search_by_key(&e.target, |m| m.target) {
+                    Ok(i) => i,
+                    Err(i) => {
+                        mine.insert(i, ValueProfileEntry { count: 0, ..*e });
+                        i
                     }
-                    Err(i) => mine.insert(i, *e),
+                };
+                if add(&mut mine[i].count, e.count) {
+                    overflows.push(MergeOverflow::Indirect {
+                        site: *s,
+                        target: e.target,
+                    });
                 }
             }
         }
         for (f, c) in &other.entries {
-            let mine = self.entries.entry(*f).or_insert(0);
-            let (sum, wrapped) = mine.overflowing_add(*c);
-            *mine = if wrapped { u64::MAX } else { sum };
-            if wrapped {
+            if add(self.entries.entry(*f).or_insert(0), *c) {
                 overflows.push(MergeOverflow::Entry { func: *f });
             }
         }
         for (f, c) in &other.returns {
-            let mine = self.returns.entry(*f).or_insert(0);
-            let (sum, wrapped) = mine.overflowing_add(*c);
-            *mine = if wrapped { u64::MAX } else { sum };
-            if wrapped {
+            if add(self.returns.entry(*f).or_insert(0), *c) {
                 overflows.push(MergeOverflow::Return { func: *f });
             }
         }
@@ -342,9 +340,9 @@ impl TryFrom<PortableProfile> for Profile {
     }
 }
 
-/// One counter that saturated at `u64::MAX` during a
-/// [`Profile::merge_checked`], identified by the key the profile stores it
-/// under.
+/// One counter that reached `u64::MAX` during a
+/// [`Profile::merge_checked`] (by overflowing or by summing to it exactly),
+/// identified by the key the profile stores it under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum MergeOverflow {
     /// A direct call site's execution count saturated.
@@ -394,8 +392,8 @@ impl std::fmt::Display for MergeOverflow {
     }
 }
 
-/// Result of a [`Profile::merge_checked`]: every counter that saturated,
-/// in deterministic sorted order (empty for a lossless merge).
+/// Result of a [`Profile::merge_checked`]: every counter that reached
+/// `u64::MAX`, in deterministic sorted order.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MergeReport {
     /// The saturated counters, sorted.
@@ -403,7 +401,8 @@ pub struct MergeReport {
 }
 
 impl MergeReport {
-    /// True when no counter saturated — the merge was an exact sum.
+    /// True when every merged sum stayed below `u64::MAX`: the merge was
+    /// exact and [`Profile::validate_against`] finds no saturated count.
     pub fn is_clean(&self) -> bool {
         self.overflows.is_empty()
     }

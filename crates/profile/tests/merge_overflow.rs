@@ -1,5 +1,5 @@
-//! Satellite regression suite: `Profile::merge_checked` must surface every
-//! counter that saturates during long-lived epoch accumulation as a typed
+//! Regression suite: `Profile::merge_checked` must surface every counter
+//! that reaches `u64::MAX` during long-lived epoch accumulation as a typed
 //! [`MergeOverflow`], instead of silently wrapping (or silently saturating,
 //! as plain `merge` does).
 
@@ -82,12 +82,28 @@ fn near_max_direct_count_overflow_is_typed() {
 }
 
 #[test]
-fn exactly_reaching_max_is_not_an_overflow() {
+fn exactly_reaching_max_is_reported() {
+    // A sum landing on u64::MAX does not wrap, but validation flags that
+    // value as saturated, so the merge must report it too.
     let mut a = scaled(&direct_unit(), u64::MAX - 2);
     let delta = scaled(&direct_unit(), 2);
     let report = a.merge_checked(&delta);
-    assert!(report.is_clean(), "an exact sum to u64::MAX loses nothing");
+    assert_eq!(
+        report.overflows,
+        vec![MergeOverflow::Direct { site: site(1) }]
+    );
     assert_eq!(a.direct_count(site(1)), u64::MAX);
+
+    // The same holds for a value-profile tuple the merge inserts fresh.
+    let mut b = Profile::new();
+    let report = b.merge_checked(&scaled(&indirect_unit(), u64::MAX));
+    assert_eq!(
+        report.overflows,
+        vec![MergeOverflow::Indirect {
+            site: site(2),
+            target: func(3)
+        }]
+    );
 }
 
 #[test]

@@ -384,13 +384,13 @@ fn unrecoverable_errors_freeze_immediately_without_retries() {
     assert_eq!(svc.journal().replay().state, ServiceState::Frozen);
 }
 
-#[test]
-fn merge_overflow_quarantines_the_delta_and_keeps_the_epoch_atomic() {
+/// The fixture with one function's cumulative return count pushed to
+/// `u64::MAX - 5` via binary merge composition (64 merges, not 2^64
+/// recordings). Return counts feed no optimization decision, so the
+/// near-saturated value is inert in the pipeline — only the merge
+/// arithmetic is on trial.
+fn near_max_returns() -> (Module, Profile, pibe_ir::FuncId) {
     let (m, mut initial) = fixture();
-    // Push one counter's cumulative value to the brink via binary merge
-    // composition (64 merges, not 2^64 recordings). Return counts feed no
-    // optimization decision, so the near-saturated value is inert in the
-    // pipeline — only the merge arithmetic is on trial here.
     let hot = pibe_ir::FuncId::from_raw(0);
     let mut unit = Profile::new();
     unit.record_return(hot);
@@ -410,7 +410,12 @@ fn merge_overflow_quarantines_the_delta_and_keeps_the_epoch_atomic() {
     }
     initial.merge(&boost);
     assert_eq!(initial.return_count(hot), u64::MAX - 5);
+    (m, initial, hot)
+}
 
+#[test]
+fn merge_overflow_quarantines_the_delta_and_keeps_the_epoch_atomic() {
+    let (m, initial, hot) = near_max_returns();
     let mut svc = PibeService::bootstrap(m, initial, config(), serve_config()).expect("bootstrap");
     let cumulative_before = svc.cumulative_profile().clone();
 
@@ -452,6 +457,37 @@ fn merge_overflow_quarantines_the_delta_and_keeps_the_epoch_atomic() {
         svc.cumulative_profile().return_count(hot),
         cumulative_before.return_count(hot) + 1
     );
+}
+
+#[test]
+fn a_merge_summing_exactly_to_u64_max_is_quarantined() {
+    // MAX - 5 plus 5 does not wrap, but validation would flag the sum as
+    // saturated, so the delta must not reach the cumulative profile.
+    let (m, initial, hot) = near_max_returns();
+    let base = m.clone();
+    let mut svc = PibeService::bootstrap(m, initial, config(), serve_config()).expect("bootstrap");
+    let cumulative_before = svc.cumulative_profile().clone();
+
+    let mut exact = Profile::new();
+    for _ in 0..5 {
+        exact.record_return(hot);
+    }
+    let record = svc
+        .ingest_epoch(vec![ProfileDelta {
+            shard: 3,
+            seq: 1,
+            profile: exact,
+        }])
+        .clone();
+
+    assert_eq!(record.overflow_rejected, 1);
+    let q = svc.quarantine().last().expect("delta quarantined");
+    assert_eq!(
+        q.reason,
+        QuarantineReason::Overflow(vec![pibe_profile::MergeOverflow::Return { func: hot }])
+    );
+    assert_eq!(svc.cumulative_profile(), &cumulative_before);
+    assert!(svc.cumulative_profile().validate_against(&base).is_clean());
 }
 
 #[test]

@@ -353,3 +353,109 @@ fn a_clean_profile_attaches_no_repair_report() {
     assert!(p.validate_against(&m).is_clean());
     assert_eq!(repair_report(&m, &p), None);
 }
+
+/// A body named `name` that calls `leaf` (@f0) at each of `direct` and
+/// makes an indirect call at each of `indirect`.
+fn body(name: &str, direct: &[SiteId], indirect: &[SiteId]) -> pibe_ir::Function {
+    let mut b = FunctionBuilder::new(name, 0);
+    for &s in direct {
+        b.call(s, FuncId::from_raw(0), 0);
+    }
+    for &s in indirect {
+        b.call_indirect(s, 1);
+    }
+    b.ret();
+    b.build()
+}
+
+/// Validation and repair reports of `p` against `m`.
+fn reports(m: &Module, p: &Profile) -> (Vec<ProfileIssue>, ProfileRepair) {
+    let mut fixed = p.clone();
+    let repair = fixed.repair_against(m);
+    (p.validate_against(m).issues().to_vec(), repair)
+}
+
+/// A copy of `m` without its memoized call-site table.
+fn memo_free(m: &Module) -> Module {
+    serde_json::from_str(&serde_json::to_string(m).expect("module serializes"))
+        .expect("module parses")
+}
+
+/// The module memoizes its call-site table; every mutation path that adds
+/// or removes a call site must drop it, so validation after each one
+/// reports exactly what a never-memoized copy reports.
+#[test]
+fn validation_after_each_site_changing_mutation_matches_a_memo_free_copy() {
+    let (mut m, d, i, leaf) = module();
+    let root = FuncId::from_raw(1);
+    // Allocated up front, so no step clears the memo through `fresh_site`.
+    let [s2, s3, s4, s5] = [(); 4].map(|()| m.fresh_site());
+    let mut p = clean(d, i, leaf);
+    for s in [s2, s4] {
+        p.record_direct(s);
+    }
+    for s in [s3, s5] {
+        p.record_indirect(s, leaf);
+    }
+    for f in [2, 3] {
+        p.record_entry(FuncId::from_raw(f));
+    }
+
+    type Step = (&'static str, Box<dyn Fn(&mut Module)>);
+    let steps: Vec<Step> = vec![
+        (
+            "add_function with a new call",
+            Box::new(move |m| {
+                m.add_function(body("extra", &[s2], &[s3]));
+            }),
+        ),
+        (
+            "replace_function dropping a call",
+            Box::new(move |m| m.replace_function(root, body("root", &[], &[i]))),
+        ),
+        (
+            "function_mut().set_blocks",
+            Box::new(move |m| {
+                let blocks = body("extra", &[s4], &[]).to_blocks();
+                m.function_mut(FuncId::from_raw(2)).set_blocks(blocks);
+            }),
+        ),
+        (
+            "set_function_arc",
+            Box::new(move |m| {
+                let mut f = m.function_arc(root).clone();
+                std::sync::Arc::make_mut(&mut f).set_blocks(body("root", &[d], &[s5]).to_blocks());
+                m.set_function_arc(root, f);
+            }),
+        ),
+        (
+            "add_function_arc",
+            Box::new(move |m| {
+                m.add_function_arc(std::sync::Arc::new(body("extra2", &[s2], &[])));
+            }),
+        ),
+        (
+            "a DCE output module",
+            Box::new(move |m| *m = pibe_passes::strip_unreachable(m, &[root], &[]).0),
+        ),
+    ];
+
+    let mut before = reports(&m, &p);
+    assert_eq!(before, reports(&memo_free(&m), &p), "initial module");
+    for (name, step) in &steps {
+        step(&mut m);
+        let after = reports(&m, &p);
+        assert_ne!(after, before, "{name} must change what validation sees");
+        assert_eq!(after, reports(&memo_free(&m), &p), "after {name}");
+        before = after;
+    }
+
+    // A clone shares the table; mutating the clone leaves the original's.
+    let mut copy = m.clone();
+    assert_eq!(reports(&copy, &p), before);
+    copy.add_function(body("extra", &[s2], &[s3]));
+    assert_ne!(reports(&copy, &p), before);
+    assert_eq!(reports(&copy, &p), reports(&memo_free(&copy), &p));
+    assert_eq!(reports(&m, &p), before, "the original is unchanged");
+    assert_eq!(reports(&memo_free(&m), &p), before);
+}

@@ -61,9 +61,9 @@ pub fn run_llvm_inliner(
     weights: &SiteWeights,
     config: &LlvmInlinerConfig,
 ) -> LlvmInlinerStats {
-    let (offsets, callees) = call_csr(module);
-    let recursive = recursive_marks(&offsets, &callees);
-    let order = bottom_up_order(&offsets, &callees);
+    let (offsets, callees) = module.call_sites().call_graph();
+    let recursive = recursive_marks(offsets, callees);
+    let order = bottom_up_order(offsets, callees);
     let mut stats = LlvmInlinerStats::default();
 
     for caller in order {
@@ -119,23 +119,6 @@ pub fn run_llvm_inliner(
         }
     }
     stats
-}
-
-/// The static direct calls of `module` as a flat CSR adjacency (see
-/// [`recursive_marks`]). A flat pool scan suffices: block structure is
-/// irrelevant and tombstones are plain ops.
-fn call_csr(module: &Module) -> (Vec<u32>, Vec<FuncId>) {
-    let mut offsets: Vec<u32> = Vec::with_capacity(module.len() + 1);
-    let mut callees: Vec<FuncId> = Vec::new();
-    offsets.push(0);
-    for f in module.functions() {
-        callees.extend(f.insts().iter().filter_map(|i| match i {
-            Inst::Call { callee, .. } => Some(*callee),
-            _ => None,
-        }));
-        offsets.push(callees.len() as u32);
-    }
-    (offsets, callees)
 }
 
 /// Bottom-up (callees-before-callers) visit order: the DFS post-order over
@@ -281,8 +264,8 @@ mod tests {
         assert_eq!(mk(&mut m, "leaf", &[]), leaf);
         m.verify().unwrap();
 
-        let (offsets, callees) = call_csr(&m);
-        assert_eq!(recursive_marks(&offsets, &callees), [true, true, false]);
-        assert_eq!(bottom_up_order(&offsets, &callees), [b, leaf, a]);
+        let (offsets, callees) = m.call_sites().call_graph();
+        assert_eq!(recursive_marks(offsets, callees), [true, true, false]);
+        assert_eq!(bottom_up_order(offsets, callees), [b, leaf, a]);
     }
 }

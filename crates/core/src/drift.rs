@@ -12,21 +12,21 @@
 //! hotness crossed an optimization-decision threshold.
 //!
 //! The surface runs the passes' own selection code — ICP's
-//! [`select_promotions`], the inliner's [`rule1_selection`] and the
+//! [`plan_promotions`], the inliner's [`rule1_selection`] and the
 //! pipeline's DCE root rule — rather than approximating it by rank: budget
 //! prefixes depend on the *total* population weight, the inliner compares
 //! *computed* propagated weights (`round(w × ε / entries)`) against the
 //! selection floor, and boundary ties break on the pass's own candidate
 //! order — all of which make any rank- or ratio-based abstraction unsound
 //! (a uniform ×2 scale can flip a rounded propagated weight across the
-//! floor). Only what the passes read from the module (ICP's skip rules and
-//! fresh-site numbering, the candidate population) is taken from a
-//! precomputed [`ModuleIndex`] instead. The surface stores:
+//! floor). What the passes read from the module comes from its memoized
+//! call table ([`Module::call_sites`]), which the base's profile
+//! validation has already filled, so computing a surface never walks
+//! function bodies. The surface stores:
 //!
-//! * **ICP**: the promoted sites in promotion order with their promoted
-//!   `(fresh site, target, weight)` lists — fresh [`SiteId`]s are assigned
-//!   here exactly as the pass assigns them, so downstream facts can refer
-//!   to promoted sites across epochs;
+//! * **ICP**: the plan itself — the promoted sites in promotion order with
+//!   their promoted `(fresh site, target, weight)` lists, so downstream
+//!   facts can refer to promoted sites across epochs;
 //! * **inlining**: the budget-selected candidate prefix (with the pass's
 //!   exact `(weight, site, caller, callee)` ordering), the selection floor,
 //!   the lax floor, and — because propagation reads callee entry counts and
@@ -40,73 +40,10 @@
 
 use crate::config::PibeConfig;
 use crate::pipeline::dce_roots;
-use pibe_ir::{FuncId, Inst, Module, SiteId};
-use pibe_passes::{rule1_selection, select_promotions, IcpConfig, InlinerConfig};
+use pibe_ir::{FuncId, Module, SiteId};
+use pibe_passes::{plan_promotions, rule1_selection, IcpSiteDecision, InlinerConfig};
 use pibe_profile::{BudgetRanking, Profile};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-
-/// Immutable facts about the base module that profile-driven selection
-/// consults, precomputed once so per-epoch surface computation never walks
-/// function bodies.
-#[derive(Debug, Clone)]
-pub struct ModuleIndex {
-    /// The next fresh [`SiteId`] the module would allocate — ICP fresh-site
-    /// replication starts here.
-    next_site: u64,
-    /// Every unresolved indirect call site: `(owner, is_asm, owner_optnone)`.
-    indirect: HashMap<SiteId, (FuncId, bool, bool)>,
-    /// Per-function direct call sites `(site, callee)`, in body order,
-    /// indexed by function.
-    direct_by_owner: Vec<Vec<(SiteId, FuncId)>>,
-}
-
-impl ModuleIndex {
-    /// Indexes `module`. The index is only valid for surfaces computed
-    /// against this exact module (the serve loop holds one base module for
-    /// its whole lifetime).
-    pub fn new(module: &Module) -> Self {
-        let mut indirect = HashMap::new();
-        let mut direct_by_owner = vec![Vec::new(); module.len()];
-        for f in module.functions() {
-            let optnone = f.attrs().optnone;
-            // Flat pool scan: tombstones are plain ops and cannot match.
-            for inst in f.insts() {
-                match inst {
-                    Inst::Call { site, callee, .. } => {
-                        direct_by_owner[f.id().index()].push((*site, *callee));
-                    }
-                    Inst::CallIndirect {
-                        site,
-                        resolved: false,
-                        asm,
-                        ..
-                    } => {
-                        indirect.insert(*site, (f.id(), *asm, optnone));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        ModuleIndex {
-            next_site: module.peek_next_site(),
-            indirect,
-            direct_by_owner,
-        }
-    }
-}
-
-/// One promoted indirect site: the site, its owner, and the ordered
-/// promoted targets with the fresh direct-call [`SiteId`]s the pass will
-/// allocate for them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IcpSiteDecision {
-    /// The promoted indirect call site.
-    pub site: SiteId,
-    /// The function owning the site.
-    pub owner: FuncId,
-    /// `(fresh site, target, weight)` in guard-chain order.
-    pub promos: Vec<(SiteId, FuncId, u64)>,
-}
 
 /// One budget-selected inline candidate, with the pass's exact field and
 /// tie order (`weight`, then `site`, then `caller`, then `callee`).
@@ -135,7 +72,7 @@ pub struct ClosureFacts {
 
 /// The full decision surface of a `(base module, profile, config)` triple.
 ///
-/// Equality of two surfaces computed over the same [`ModuleIndex`] and
+/// Equality of two surfaces computed over the same base module and
 /// [`PibeConfig`] implies the pipeline makes identical decisions for both
 /// profiles, hence produces bit-identical images.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -162,19 +99,19 @@ pub struct DecisionSurface {
 }
 
 impl DecisionSurface {
-    /// Computes the decision surface of `profile` over `index` for the
+    /// Computes the decision surface of `profile` over `module` for the
     /// selections `config` enables.
-    pub fn compute(index: &ModuleIndex, profile: &Profile, config: &PibeConfig) -> Self {
+    pub fn compute(module: &Module, profile: &Profile, config: &PibeConfig) -> Self {
         let mut surface = DecisionSurface {
             inline_floor: u64::MAX,
             lax_floor: u64::MAX,
             ..DecisionSurface::default()
         };
         if let Some(icp) = &config.icp {
-            surface.icp = icp_decisions(index, profile, icp);
+            surface.icp = plan_promotions(module, profile, icp).0;
         }
         if let Some(inliner) = &config.inliner {
-            inline_surface(index, profile, inliner, &mut surface);
+            inline_surface(module, profile, inliner, &mut surface);
         }
         if config.dce {
             match dce_roots(profile) {
@@ -188,7 +125,7 @@ impl DecisionSurface {
         surface
     }
 
-    /// Diffs two surfaces computed over the same index and config,
+    /// Diffs two surfaces computed over the same module and config,
     /// attributing changes to functions.
     pub fn diff(&self, newer: &DecisionSurface) -> DriftReport {
         let mut report = DriftReport {
@@ -291,47 +228,11 @@ impl DriftReport {
     }
 }
 
-/// ICP's decisions: the pass's budget selection, then its skip rules and
-/// fresh-site allocation order replayed against the index.
-fn icp_decisions(
-    index: &ModuleIndex,
-    profile: &Profile,
-    config: &IcpConfig,
-) -> Vec<IcpSiteDecision> {
-    let (plans, _) = select_promotions(profile, config);
-    let mut next = index.next_site;
-    let mut decisions = Vec::new();
-    for (site, targets) in plans {
-        // Skip rules allocate no fresh sites, in the pass's order: unknown
-        // site, optnone owner, inline-asm site.
-        let Some(&(owner, asm, optnone)) = index.indirect.get(&site) else {
-            continue;
-        };
-        if optnone || asm {
-            continue;
-        }
-        let promos = targets
-            .into_iter()
-            .map(|(t, w)| {
-                let fresh = SiteId::from_raw(next);
-                next += 1;
-                (fresh, t, w)
-            })
-            .collect();
-        decisions.push(IcpSiteDecision {
-            site,
-            owner,
-            promos,
-        });
-    }
-    decisions
-}
-
 /// Runs the inliner's Rule 1 selection over the post-ICP candidate
 /// population (`surface.icp` holds the promotions) and collects the
 /// propagation closure facts.
 fn inline_surface(
-    index: &ModuleIndex,
+    module: &Module,
     profile: &Profile,
     config: &InlinerConfig,
     surface: &mut DecisionSurface,
@@ -339,43 +240,30 @@ fn inline_surface(
     // Candidate population: every profiled direct call site of the base
     // module plus every ICP-promoted site. Zero-weight sites are inert
     // (never selected, contribute no budget weight) and are omitted.
+    let table = module.call_sites();
     let mut population: Vec<(InlineCandidate, u64)> = Vec::new();
-    for (owner, sites) in index.direct_by_owner.iter().enumerate() {
-        for &(site, callee) in sites {
-            let w = profile.direct_count(site);
-            if w > 0 {
-                let caller = FuncId::from_raw(owner as u32);
-                population.push((
-                    InlineCandidate {
-                        weight: w,
-                        site,
-                        caller,
-                        callee,
-                    },
-                    w,
-                ));
-            }
+    let mut push = |caller, site, callee, weight| {
+        if weight > 0 {
+            let candidate = InlineCandidate {
+                weight,
+                site,
+                caller,
+                callee,
+            };
+            population.push((candidate, weight));
+        }
+    };
+    for caller in module.func_ids() {
+        for (site, callee) in table.direct_calls(caller) {
+            push(caller, site, callee, profile.direct_count(site));
         }
     }
-    let mut promos_by_owner: HashMap<FuncId, Vec<(SiteId, FuncId, u64)>> = HashMap::new();
+    let mut promoted: HashMap<FuncId, Vec<(SiteId, FuncId, u64)>> = HashMap::new();
     for d in &surface.icp {
-        for &(fresh, target, w) in &d.promos {
-            promos_by_owner
-                .entry(d.owner)
-                .or_default()
-                .push((fresh, target, w));
-            if w > 0 {
-                population.push((
-                    InlineCandidate {
-                        weight: w,
-                        site: fresh,
-                        caller: d.owner,
-                        callee: target,
-                    },
-                    w,
-                ));
-            }
+        for &(site, callee, w) in &d.promos {
+            push(d.owner, site, callee, w);
         }
+        promoted.entry(d.owner).or_default().extend(&d.promos);
     }
 
     let ranking = BudgetRanking::new(&population);
@@ -393,27 +281,22 @@ fn inline_surface(
     let mut queue: VecDeque<FuncId> = surface.inline_selected.iter().map(|c| c.callee).collect();
     let mut seen: BTreeSet<FuncId> = BTreeSet::new();
     while let Some(f) = queue.pop_front() {
-        if f.index() >= index.direct_by_owner.len() || !seen.insert(f) {
+        if f.index() >= module.len() || !seen.insert(f) {
             continue;
         }
         let mut facts = ClosureFacts {
             entry_count: profile.entry_count(f),
             site_weights: Vec::new(),
         };
-        for &(site, callee) in &index.direct_by_owner[f.index()] {
-            let w = profile.direct_count(site);
+        let body = table
+            .direct_calls(f)
+            .map(|(s, c)| (s, c, profile.direct_count(s)));
+        let icp = promoted.get(&f).into_iter().flatten().copied();
+        for (site, callee, w) in body.chain(icp) {
             if w > 0 {
                 facts.site_weights.push((site, w));
             }
             queue.push_back(callee);
-        }
-        if let Some(promos) = promos_by_owner.get(&f) {
-            for &(fresh, target, w) in promos {
-                if w > 0 {
-                    facts.site_weights.push((fresh, w));
-                }
-                queue.push_back(target);
-            }
         }
         facts.site_weights.sort_unstable();
         surface.closure.insert(f, facts);
@@ -425,10 +308,11 @@ mod tests {
     use super::*;
     use crate::pipeline::{Image, Stage, StageSnapshot};
     use pibe_harden::DefenseSet;
-    use pibe_ir::{FunctionBuilder, OpKind};
+    use pibe_ir::{FunctionBuilder, Inst, OpKind};
     use pibe_kernel::measure::collect_profile;
     use pibe_kernel::workloads::{lmbench_suite, WorkloadSpec};
     use pibe_kernel::{Kernel, KernelSpec};
+    use pibe_passes::IcpConfig;
     use pibe_profile::Budget;
     use std::cell::RefCell;
 
@@ -482,9 +366,8 @@ mod tests {
     #[test]
     fn surface_is_deterministic() {
         let (m, p, _, _) = fixture();
-        let idx = ModuleIndex::new(&m);
-        let a = DecisionSurface::compute(&idx, &p, &config());
-        let b = DecisionSurface::compute(&idx, &p, &config());
+        let a = DecisionSurface::compute(&m, &p, &config());
+        let b = DecisionSurface::compute(&m, &p, &config());
         assert_eq!(a, b);
         assert!(a.diff(&b).unchanged);
         assert!(!a.icp.is_empty());
@@ -493,22 +376,12 @@ mod tests {
     }
 
     #[test]
-    fn icp_fresh_sites_start_at_module_watermark() {
-        let (m, p, _, _) = fixture();
-        let idx = ModuleIndex::new(&m);
-        let s = DecisionSurface::compute(&idx, &p, &config());
-        let first = s.icp[0].promos[0].0;
-        assert_eq!(first, SiteId::from_raw(m.peek_next_site()));
-    }
-
-    #[test]
     fn hot_count_change_drifts() {
         let (m, p, sites, _) = fixture();
-        let idx = ModuleIndex::new(&m);
-        let before = DecisionSurface::compute(&idx, &p, &config());
+        let before = DecisionSurface::compute(&m, &p, &config());
         let mut p2 = p.clone();
         p2.record_direct(sites[0]); // hottest selected site: exact weight is on the surface
-        let after = DecisionSurface::compute(&idx, &p2, &config());
+        let after = DecisionSurface::compute(&m, &p2, &config());
         let report = before.diff(&after);
         assert!(!report.unchanged);
         assert!(report.drifted_functions() >= 1);
@@ -517,69 +390,66 @@ mod tests {
     #[test]
     fn decision_irrelevant_count_change_does_not_drift() {
         let (m, p, _, _) = fixture();
-        let idx = ModuleIndex::new(&m);
-        let before = DecisionSurface::compute(&idx, &p, &config());
+        let before = DecisionSurface::compute(&m, &p, &config());
         let mut p2 = p.clone();
         // Returns feed no selection; entry counts of already-rooted
         // non-closure functions only matter as a key set.
         let root_fn = FuncId::from_raw(3);
         p2.record_return(root_fn);
-        let after = DecisionSurface::compute(&idx, &p2, &config());
+        let after = DecisionSurface::compute(&m, &p2, &config());
         assert!(before.diff(&after).unchanged);
     }
 
     #[test]
     fn new_entry_key_drifts_dce_roots() {
         let (m, p, _, _) = fixture();
-        let idx = ModuleIndex::new(&m);
-        let before = DecisionSurface::compute(&idx, &p, &config());
+        let before = DecisionSurface::compute(&m, &p, &config());
         let mut p2 = p.clone();
         p2.record_entry(FuncId::from_raw(3)); // root was not a DCE root before
-        let after = DecisionSurface::compute(&idx, &p2, &config());
+        let after = DecisionSurface::compute(&m, &p2, &config());
         let report = before.diff(&after);
         assert!(!report.unchanged);
         assert!(report.dce_changed);
     }
 
+    /// `fa` and an `optnone` `fb` both hold indirect site `s`: two
+    /// profiles that only swap `s`'s target counts give equal surfaces
+    /// exactly when they build equal images.
     #[test]
-    fn icp_respects_target_cap_and_asm_skip() {
+    fn surface_equality_tracks_images_for_a_shared_site() {
         let mut m = Module::new("m");
-        let mut b = FunctionBuilder::new("t0", 0);
-        b.ret();
-        let t0 = m.add_function(b.build());
-        let mut b = FunctionBuilder::new("t1", 0);
-        b.ret();
-        let t1 = m.add_function(b.build());
-        let s_asm = m.fresh_site();
-        let s_ok = m.fresh_site();
-        let mut b = FunctionBuilder::new("root", 0);
-        b.call_indirect_asm(s_asm, 0);
-        b.call_indirect(s_ok, 0);
-        b.ret();
-        m.add_function(b.build());
-        let mut p = Profile::new();
-        for _ in 0..100 {
-            p.record_indirect(s_asm, t0);
-            p.record_indirect(s_ok, t0);
-        }
-        for _ in 0..50 {
-            p.record_indirect(s_ok, t1);
-        }
-        let idx = ModuleIndex::new(&m);
-        let cfg = PibeConfig::builder()
-            .icp_config(IcpConfig {
-                budget: Budget::new(100.0).unwrap(),
-                max_targets_per_site: Some(1),
-            })
-            .build();
-        let s = DecisionSurface::compute(&idx, &p, &cfg);
-        // The asm site is skipped without consuming fresh ids; the capped
-        // site promotes only its hottest target.
-        assert_eq!(s.icp.len(), 1);
-        assert_eq!(s.icp[0].site, s_ok);
-        assert_eq!(s.icp[0].promos.len(), 1);
-        assert_eq!(s.icp[0].promos[0].1, t0);
-        assert_eq!(s.icp[0].promos[0].0, SiteId::from_raw(m.peek_next_site()));
+        let s = m.fresh_site();
+        let mut add = |name: &str, holds: bool, optnone: bool| {
+            let mut b = FunctionBuilder::new(name, 0);
+            b.attrs(pibe_ir::FnAttrs {
+                optnone,
+                ..Default::default()
+            });
+            if holds {
+                b.call_indirect(s, 0);
+            }
+            b.ret();
+            m.add_function(b.build())
+        };
+        let (t0, t1) = (add("t0", false, false), add("t1", false, false));
+        add("fa", true, false);
+        add("fb", true, true);
+        let profile = |hot: FuncId, cold: FuncId| {
+            let mut p = Profile::new();
+            for (t, n) in [(hot, 2), (cold, 1)] {
+                (0..n).for_each(|_| p.record_indirect(s, t));
+                p.record_entry(t);
+            }
+            p
+        };
+        let (p1, p2) = (profile(t0, t1), profile(t1, t0));
+        let config = PibeConfig::builder().icp(Budget::P99_999).build();
+        let image = |p: &Profile| {
+            let image = Image::builder(&m).profile(p).config(config).build();
+            image.expect("builds").module.to_string()
+        };
+        let surface = |p: &Profile| DecisionSurface::compute(&m, p, &config);
+        assert_eq!(surface(&p1) == surface(&p2), image(&p1) == image(&p2));
     }
 
     /// The surface and the pipeline agree on every decision the surface
@@ -590,7 +460,6 @@ mod tests {
         let k = Kernel::generate(KernelSpec::test());
         let p = collect_profile(&k, &WorkloadSpec::lmbench(), &lmbench_suite(6), 2, 7)
             .expect("profiling run succeeds");
-        let index = ModuleIndex::new(&k.module);
         let capped = IcpConfig {
             budget: Budget::P99_9999,
             max_targets_per_site: Some(1),
@@ -623,7 +492,7 @@ mod tests {
                 .observe_stages(&observe)
                 .build()
                 .expect("builds");
-            let surface = DecisionSurface::compute(&index, &p, &config);
+            let surface = DecisionSurface::compute(&k.module, &p, &config);
             let icp = image.icp_stats.expect("ICP ran");
             let inline = image.inline_stats.expect("the inliner ran");
 

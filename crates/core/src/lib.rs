@@ -47,11 +47,10 @@ pub mod report;
 
 pub use chaos::{corrupt_module, ModuleCorruption, SemanticCorruption};
 pub use config::{PibeConfig, PibeConfigBuilder};
-pub use drift::{
-    ClosureFacts, DecisionSurface, DriftReport, IcpSiteDecision, InlineCandidate, ModuleIndex,
-};
+pub use drift::{ClosureFacts, DecisionSurface, DriftReport, InlineCandidate};
 pub use farm::{FarmStats, ImageFarm};
 pub use pibe_harden::{Arch, DefenseBackend, DefenseSet};
+pub use pibe_passes::IcpSiteDecision;
 /// The tracer every stage records into, for dependents that read a
 /// build's events (the difftest inliner replay) without depending on
 /// `pibe-trace` themselves.

@@ -96,7 +96,7 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::ids::SiteId;
-    use crate::inst::{Inst, OpKind};
+    use crate::inst::OpKind;
     use crate::Module;
 
     /// Builds: main -> a -> b, a -> c, b <-> c (mutual recursion), d -> d.
@@ -138,16 +138,8 @@ mod tests {
     #[test]
     fn recursion_detection_finds_cycles_and_self_loops() {
         let (m, ids) = cyclic_module();
-        let mut offsets = vec![0u32];
-        let mut callees = Vec::new();
-        for f in m.functions() {
-            callees.extend(f.insts().iter().filter_map(|i| match i {
-                Inst::Call { callee, .. } => Some(*callee),
-                _ => None,
-            }));
-            offsets.push(callees.len() as u32);
-        }
-        let recursive = recursive_marks(&offsets, &callees);
+        let (offsets, callees) = m.call_sites().call_graph();
+        let recursive = recursive_marks(offsets, callees);
         let is_recursive = |f: FuncId| recursive[f.index()];
         assert!(!is_recursive(ids[0]), "main is acyclic");
         assert!(!is_recursive(ids[1]), "a is acyclic");

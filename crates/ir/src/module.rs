@@ -58,36 +58,67 @@ pub struct Module {
     call_sites: OnceLock<Arc<CallSites>>,
 }
 
-/// The sorted, deduplicated call-site ids of a module, one list per call
-/// kind, as returned by [`Module::call_sites`].
+/// A module's call table, as returned by [`Module::call_sites`]: the
+/// sorted, deduplicated call-site ids of each call kind, every function's
+/// direct calls as CSR columns, and the owner of every unresolved indirect
+/// site.
 ///
 /// Site ids are arbitrary `u64`s (a text-parsed module can carry any), so
-/// membership is a binary search rather than a dense bitmap.
-#[derive(Debug, PartialEq, Eq)]
+/// membership and owner lookups are binary searches rather than dense
+/// bitmaps.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct CallSites {
     direct: Vec<SiteId>,
     indirect: Vec<SiteId>,
+    /// Function `i`'s direct calls are `calls[offsets[i]..offsets[i + 1]]`
+    /// and `callees[..]` over the same range, in flat-pool order.
+    offsets: Vec<u32>,
+    calls: Vec<SiteId>,
+    callees: Vec<FuncId>,
+    /// `(site, owner, asm)` per unresolved indirect site, sorted by site.
+    owners: Vec<(SiteId, FuncId, bool)>,
 }
 
 impl CallSites {
     fn scan(functions: &[Arc<Function>]) -> Self {
-        let mut direct = Vec::new();
-        let mut indirect = Vec::new();
+        let mut t = CallSites {
+            offsets: vec![0],
+            ..CallSites::default()
+        };
         for f in functions {
             // Flat pool scan: tombstones are plain ops and cannot match.
             for inst in f.insts() {
                 match inst {
-                    Inst::Call { site, .. } => direct.push(*site),
-                    Inst::CallIndirect { site, .. } => indirect.push(*site),
+                    Inst::Call { site, callee, .. } => {
+                        t.calls.push(*site);
+                        t.callees.push(*callee);
+                    }
+                    Inst::CallIndirect {
+                        site,
+                        resolved,
+                        asm,
+                        ..
+                    } => {
+                        t.indirect.push(*site);
+                        if !resolved {
+                            t.owners.push((*site, f.id(), *asm));
+                        }
+                    }
                     _ => {}
                 }
             }
+            t.offsets.push(t.calls.len() as u32);
         }
-        for sites in [&mut direct, &mut indirect] {
+        t.direct.clone_from(&t.calls);
+        for sites in [&mut t.direct, &mut t.indirect] {
             sites.sort_unstable();
             sites.dedup();
         }
-        CallSites { direct, indirect }
+        // A stable sort keeps each site's instances in module, then pool,
+        // order, so the dedup keeps the owner rule's instance.
+        t.owners.sort_by_key(|o| o.0);
+        t.owners.dedup_by_key(|o| o.0);
+        t
     }
 
     /// True when `site` is a direct call site of the module.
@@ -98,6 +129,36 @@ impl CallSites {
     /// True when `site` is an indirect call site of the module.
     pub fn has_indirect(&self, site: SiteId) -> bool {
         self.indirect.binary_search(&site).is_ok()
+    }
+
+    /// Function `f`'s direct calls `(site, callee)` in flat-pool order.
+    ///
+    /// # Panics
+    /// Panics if `f` is out of range.
+    pub fn direct_calls(&self, f: FuncId) -> impl Iterator<Item = (SiteId, FuncId)> + '_ {
+        let range = self.offsets[f.index()] as usize..self.offsets[f.index() + 1] as usize;
+        self.calls[range.clone()]
+            .iter()
+            .copied()
+            .zip(self.callees[range].iter().copied())
+    }
+
+    /// The static direct-call graph as a flat CSR adjacency `(offsets,
+    /// callees)`: function `i`'s callees, with multiplicity, are
+    /// `callees[offsets[i]..offsets[i + 1]]` (the input of
+    /// [`recursive_marks`](crate::recursive_marks)).
+    pub fn call_graph(&self) -> (&[u32], &[FuncId]) {
+        (&self.offsets, &self.callees)
+    }
+
+    /// The owner of the unresolved indirect call site `site` and whether
+    /// the instance it owns is inline assembly. The owner is the first
+    /// function in module order holding an unresolved instance; its
+    /// instance is the first in its flat pool. `None` when no function
+    /// holds one (the site is gone or already promoted).
+    pub fn indirect_owner(&self, site: SiteId) -> Option<(FuncId, bool)> {
+        let i = self.owners.binary_search_by_key(&site, |o| o.0).ok()?;
+        Some((self.owners[i].1, self.owners[i].2))
     }
 }
 
@@ -245,10 +306,11 @@ impl Module {
             .map(|i| FuncId::from_raw(i as u32))
     }
 
-    /// The module's direct and indirect call-site ids, scanned on first use
-    /// and memoized until the next `&mut self` call. Profile validation
-    /// reads it, so checking many profiles against one unchanged module
-    /// scans its functions once.
+    /// The module's call table, scanned on first use and memoized until the
+    /// next `&mut self` call. Profile validation, ICP's plan, the serve
+    /// loop's decision surface and the LLVM-inliner baseline read it, so
+    /// every build and epoch over one unchanged base scans its functions
+    /// once.
     pub fn call_sites(&self) -> &CallSites {
         let sites = self
             .call_sites
@@ -436,6 +498,23 @@ mod tests {
         assert_eq!(back.functions(), m.functions());
         assert_eq!(back.peek_next_site(), m.peek_next_site());
         back.verify().unwrap();
+    }
+
+    #[test]
+    fn call_table_holds_calls_and_indirect_owners() {
+        let mut m = sample_module();
+        let (leaf, root) = (FuncId::from_raw(0), FuncId::from_raw(1));
+        let (s1, s2) = (SiteId::from_raw(0), SiteId::from_raw(1));
+        // A later function holds root's indirect site too, as asm.
+        let mut b = FunctionBuilder::new("twin", 0);
+        b.call_indirect_asm(s2, 0);
+        b.ret();
+        m.add_function(b.build());
+        let t = m.call_sites();
+        assert_eq!(t.direct_calls(root).collect::<Vec<_>>(), [(s1, leaf)]);
+        assert_eq!(t.call_graph(), (&[0, 0, 1, 1][..], &[leaf][..]));
+        assert_eq!(t.indirect_owner(s2), Some((root, false)));
+        assert_eq!(t.indirect_owner(s1), None);
     }
 
     #[test]

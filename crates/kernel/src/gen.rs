@@ -833,16 +833,8 @@ mod tests {
         // The tuned kernel is a genuinely different program.
         assert_ne!(hot.module.code_bytes(), default.module.code_bytes());
         // No recursion: the call graph is a DAG everywhere.
-        let mut offsets = vec![0u32];
-        let mut callees = Vec::new();
-        for f in hot.module.functions() {
-            callees.extend(f.insts().iter().filter_map(|i| match i {
-                pibe_ir::Inst::Call { callee, .. } => Some(*callee),
-                _ => None,
-            }));
-            offsets.push(callees.len() as u32);
-        }
-        assert!(pibe_ir::recursive_marks(&offsets, &callees)
+        let (offsets, callees) = hot.module.call_sites().call_graph();
+        assert!(pibe_ir::recursive_marks(offsets, callees)
             .iter()
             .all(|r| !r));
     }

@@ -36,7 +36,7 @@ use crate::weights::SiteWeights;
 use pibe_ir::{BlockId, Cond, FuncId, Inst, Module, SiteId, Terminator};
 use pibe_profile::{select_by_budget, Budget, Profile};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// ICP tuning knobs.
 ///
@@ -78,25 +78,54 @@ pub struct IcpStats {
     pub promoted_targets: u64,
     /// Dynamic weight promoted to direct calls.
     pub promoted_weight: u64,
-    /// Sites skipped because they are inline-assembly or sit in `optnone`
-    /// functions.
+    /// Selected sites skipped because no function holds them unresolved,
+    /// their owner is `optnone`, or they are inline assembly.
     pub skipped_sites: u64,
 }
 
-/// One site's promotion plan: the site and the targets the budget selected
-/// for it, hottest first, cut to the per-site cap.
-pub type SitePlan = (SiteId, Vec<(FuncId, u64)>);
+/// One promoted indirect site: the site, its owner, and the ordered
+/// promoted targets with the fresh direct-call [`SiteId`]s the pass
+/// allocates for them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IcpSiteDecision {
+    /// The promoted indirect call site.
+    pub site: SiteId,
+    /// The function owning the site (`CallSites::indirect_owner`).
+    pub owner: FuncId,
+    /// `(fresh site, target, weight)` in guard-chain order.
+    pub promos: Vec<(SiteId, FuncId, u64)>,
+}
 
-/// ICP's budget selection: gathers every profiled `(site, target)` pair,
-/// selects the hottest prefix covering `config.budget`, and groups the
-/// selected targets per site in selection order (hottest first), keeping at
-/// most `config.max_targets_per_site` per site.
+/// ICP's plan for `module` under `profile`: every decision the pass makes,
+/// computed without touching the module.
 ///
-/// Returns the per-site plans in promotion order and the stats of the
-/// candidate population (the promotion counters are left at zero). This is
-/// the one implementation of the selection: [`promote_indirect_calls`] runs
-/// it, and so does the serve loop's decision surface.
-pub fn select_promotions(profile: &Profile, config: &IcpConfig) -> (Vec<SitePlan>, IcpStats) {
+/// Gathers every profiled `(site, target)` pair, selects the hottest prefix
+/// covering `config.budget`, and groups the selected targets per site in
+/// selection order (hottest first), keeping at most
+/// `config.max_targets_per_site` per site. Each site then goes to the owner
+/// the module's call table names; a site with no owner, an `optnone` owner
+/// or an inline-asm instance is skipped. Promoted sites number their fresh
+/// direct-call sites from [`Module::peek_next_site`] in promotion order.
+///
+/// Returns the promotions in order and the stats the pass reports. This is
+/// the one copy of ICP's rules: [`promote_indirect_calls`] applies it, and
+/// the serve loop's decision surface records it.
+pub fn plan_promotions(
+    module: &Module,
+    profile: &Profile,
+    config: &IcpConfig,
+) -> (Vec<IcpSiteDecision>, IcpStats) {
+    plan(module, profile, config, |_, _| {})
+}
+
+/// [`plan_promotions`], reporting each skipped site and its reason to
+/// `skip`.
+fn plan(
+    module: &Module,
+    profile: &Profile,
+    config: &IcpConfig,
+    mut skip: impl FnMut(SiteId, &'static str),
+) -> (Vec<IcpSiteDecision>, IcpStats) {
     let mut stats = IcpStats::default();
     let mut candidates: Vec<((SiteId, FuncId), u64)> = Vec::new();
     for (site, entries) in profile.iter_indirect() {
@@ -111,7 +140,7 @@ pub fn select_promotions(profile: &Profile, config: &IcpConfig) -> (Vec<SitePlan
     let selected = select_by_budget(&candidates, config.budget);
     stats.candidate_targets = selected.len() as u64;
 
-    let mut plans: Vec<SitePlan> = Vec::new();
+    let mut plans: Vec<(SiteId, Vec<(FuncId, u64)>)> = Vec::new();
     let mut slot: HashMap<SiteId, usize> = HashMap::new();
     for ((site, target), w) in selected {
         let i = *slot.entry(site).or_insert_with(|| {
@@ -126,7 +155,42 @@ pub fn select_promotions(profile: &Profile, config: &IcpConfig) -> (Vec<SitePlan
             targets.push((target, w));
         }
     }
-    (plans, stats)
+
+    // Skip rules allocate no fresh sites.
+    let table = module.call_sites();
+    let mut next = module.peek_next_site();
+    let mut decisions = Vec::with_capacity(plans.len());
+    for (site, targets) in plans {
+        let reason = match table.indirect_owner(site) {
+            // Profiled site no longer exists (e.g. DCE'd); nothing to do.
+            None => "no_owner",
+            Some((owner, _)) if module.function(owner).attrs().optnone => "optnone",
+            // Cannot touch inline asm.
+            Some((_, true)) => "asm",
+            Some((owner, false)) => {
+                stats.promoted_sites += 1;
+                stats.promoted_targets += targets.len() as u64;
+                let promos = targets
+                    .into_iter()
+                    .map(|(t, w)| {
+                        stats.promoted_weight += w;
+                        let fresh = SiteId::from_raw(next);
+                        next += 1;
+                        (fresh, t, w)
+                    })
+                    .collect();
+                decisions.push(IcpSiteDecision {
+                    site,
+                    owner,
+                    promos,
+                });
+                continue;
+            }
+        };
+        stats.skipped_sites += 1;
+        skip(site, reason);
+    }
+    (decisions, stats)
 }
 
 /// Runs indirect call promotion over `module`, updating `weights` with the
@@ -141,194 +205,116 @@ pub fn promote_indirect_calls(
     config: &IcpConfig,
 ) -> IcpStats {
     let _pass_span = pibe_trace::span("pass.icp");
-    let (plans, mut stats) = select_promotions(profile, config);
-
-    // Index: which function owns each *selected* indirect site (pre-ICP
-    // they are static-unique). Only promotion candidates need an owner, so
-    // the scan filters before hashing instead of indexing every indirect
-    // site in the module.
-    let needed: HashSet<SiteId> = plans.iter().map(|(site, _)| *site).collect();
-    let mut owner: HashMap<SiteId, FuncId> = HashMap::with_capacity(needed.len());
-    for f in module.functions() {
-        if owner.len() == needed.len() {
-            break;
-        }
-        // Flat pool scan: tombstones are plain ops and cannot match.
-        for inst in f.insts() {
-            if let Inst::CallIndirect { site, .. } = inst {
-                if needed.contains(site) {
-                    owner.insert(*site, f.id());
-                }
-            }
-        }
-    }
-
-    for (site, targets) in plans {
-        let Some(&func) = owner.get(&site) else {
-            // Profiled site no longer exists (e.g. DCE'd); nothing to do.
-            stats.skipped_sites += 1;
-            continue;
-        };
-        if module.function(func).attrs().optnone {
-            stats.skipped_sites += 1;
-            continue;
-        }
-        match promote_site(module, weights, func, site, &targets) {
-            PromoteOutcome::Promoted { targets, weight } => {
-                stats.promoted_sites += 1;
-                stats.promoted_targets += targets;
-                stats.promoted_weight += weight;
-                pibe_trace::event_args("icp.promote", || {
-                    vec![
-                        ("site", pibe_trace::Value::from(site.raw())),
-                        ("targets", pibe_trace::Value::from(targets)),
-                        ("weight", pibe_trace::Value::from(weight)),
-                    ]
-                });
-                pibe_trace::record_value("icp.targets_per_site", targets);
-            }
-            PromoteOutcome::Skipped => {
-                stats.skipped_sites += 1;
-                pibe_trace::event_args("icp.skip", || {
-                    vec![("site", pibe_trace::Value::from(site.raw()))]
-                });
-            }
-        }
+    let (decisions, stats) = plan(module, profile, config, |site, reason| {
+        pibe_trace::event_args("icp.skip", || {
+            vec![
+                ("site", pibe_trace::Value::from(site.raw())),
+                ("reason", pibe_trace::Value::from(reason)),
+            ]
+        });
+    });
+    for d in &decisions {
+        promote_site(module, weights, d);
+        pibe_trace::event_args("icp.promote", || {
+            vec![
+                ("site", pibe_trace::Value::from(d.site.raw())),
+                ("targets", pibe_trace::Value::from(d.promos.len())),
+                (
+                    "weight",
+                    pibe_trace::Value::from(d.promos.iter().map(|p| p.2).sum::<u64>()),
+                ),
+            ]
+        });
+        pibe_trace::record_value("icp.targets_per_site", d.promos.len() as u64);
     }
     stats
 }
 
-enum PromoteOutcome {
-    Promoted { targets: u64, weight: u64 },
-    Skipped,
-}
-
-/// Rewrites one indirect call site into the guard chain.
-fn promote_site(
-    module: &mut Module,
-    weights: &mut SiteWeights,
-    func: FuncId,
-    site: SiteId,
-    targets: &[(FuncId, u64)],
-) -> PromoteOutcome {
-    // Locate the unresolved indirect call.
-    let mut found: Option<(BlockId, usize, u8)> = None;
-    'outer: for (bid, block) in module.function(func).iter_blocks() {
-        for (idx, inst) in block.insts().iter().enumerate() {
-            if let Inst::CallIndirect {
-                site: s,
+/// Rewrites one planned site into the guard chain.
+fn promote_site(module: &mut Module, weights: &mut SiteWeights, d: &IcpSiteDecision) {
+    // The plan's instance: the owner's first unresolved instance of the
+    // site in its flat pool, mapped to its block.
+    let f = module.function(d.owner);
+    let (pos, args) = f
+        .insts()
+        .iter()
+        .enumerate()
+        .find_map(|(pos, inst)| match *inst {
+            Inst::CallIndirect {
+                site,
                 args,
                 resolved: false,
                 asm,
-            } = inst
-            {
-                if *s == site {
-                    if *asm {
-                        return PromoteOutcome::Skipped; // cannot touch inline asm
-                    }
-                    found = Some((bid, idx, *args));
-                    break 'outer;
-                }
+            } if site == d.site => {
+                debug_assert!(!asm, "the plan never promotes inline asm");
+                Some((pos, args))
             }
-        }
+            _ => None,
+        })
+        .expect("the plan's owner holds the site");
+    let (bid, idx) = (0..f.num_blocks() as u32)
+        .map(BlockId::from_raw)
+        .find_map(|b| {
+            let range = f.block_range(b);
+            range.contains(&pos).then(|| (b, pos - range.start))
+        })
+        .expect("every live instruction is in a block");
+    let site = d.site;
+    for &(fresh, _, _) in &d.promos {
+        let allocated = module.fresh_site();
+        debug_assert_eq!(allocated, fresh, "ICP allocates the plan's fresh sites");
     }
-    let Some((bid, idx, args)) = found else {
-        return PromoteOutcome::Skipped;
-    };
+    let promos = &d.promos;
 
-    // Fresh site ids for the promoted direct calls.
-    let promos: Vec<(SiteId, FuncId, u64)> = targets
-        .iter()
-        .map(|(t, w)| (module.fresh_site(), *t, *w))
-        .collect();
-
-    let f = module.function_mut(func);
+    let f = module.function_mut(d.owner);
     let nblocks = f.num_blocks() as u32;
     let n = promos.len() as u32;
     // Block id plan (appended after the existing blocks):
     //   merge                      = nblocks
-    //   guard_i (i in 1..n)        = nblocks + i        (guard_0 reuses bid)
+    //   guard_i (i in 1..n)        = nblocks + i        (guard_0 is bid)
     //   direct_i (i in 0..n)       = nblocks + n + i
-    //   fallback                   = nblocks + 2n
-    let guard_id = |i: u32| {
-        debug_assert!(i >= 1);
-        BlockId::from_raw(nblocks + i)
-    };
+    //   fallback = guard_n         = nblocks + 2n
     let direct_id = |i: u32| BlockId::from_raw(nblocks + n + i);
-    let fallback_id = BlockId::from_raw(nblocks + 2 * n);
+    let guard = |i: u32| Terminator::Branch {
+        cond: Cond::TargetIs {
+            site,
+            target: promos[i as usize].1,
+        },
+        then_bb: direct_id(i),
+        else_bb: BlockId::from_raw(nblocks + if i + 1 < n { i + 1 } else { 2 * n }),
+    };
 
     // Rewrite the indirect call into the resolve in place, then split the
     // calling block after it — pure pool-range arithmetic, no inst copies.
     f.block_insts_mut(bid)[idx] = Inst::ResolveTarget { site };
-    let merge_id = f.split_block(
-        bid,
-        idx + 1,
-        false,
-        Terminator::Branch {
-            cond: Cond::TargetIs {
-                site,
-                target: promos[0].1,
-            },
-            then_bb: direct_id(0),
-            else_bb: if n > 1 { guard_id(1) } else { fallback_id },
-        },
-    );
+    let merge_id = f.split_block(bid, idx + 1, false, guard(0));
     debug_assert_eq!(merge_id, BlockId::from_raw(nblocks));
-    // guard blocks 1..n.
     for i in 1..n {
-        f.append_block(
-            Vec::new(),
-            Terminator::Branch {
-                cond: Cond::TargetIs {
-                    site,
-                    target: promos[i as usize].1,
-                },
-                then_bb: direct_id(i),
-                else_bb: if i + 1 < n {
-                    guard_id(i + 1)
-                } else {
-                    fallback_id
-                },
-            },
-        );
+        f.append_block(Vec::new(), guard(i));
     }
-    // direct blocks.
-    for (new_site, target, _) in &promos {
-        f.append_block(
-            vec![Inst::Call {
-                site: *new_site,
-                callee: *target,
-                args,
-            }],
-            Terminator::Jump { target: merge_id },
-        );
-    }
-    // fallback block.
-    f.append_block(
-        vec![Inst::CallIndirect {
-            site,
+    for &(new_site, callee, w) in promos {
+        let call = Inst::Call {
+            site: new_site,
+            callee,
             args,
-            resolved: true,
-            asm: false,
-        }],
-        Terminator::Jump { target: merge_id },
-    );
-
-    let mut weight = 0;
-    for (new_site, _, w) in &promos {
-        weights.set(*new_site, *w);
-        weight += w;
+        };
+        f.append_block(vec![call], Terminator::Jump { target: merge_id });
+        weights.set(new_site, w);
     }
-    PromoteOutcome::Promoted {
-        targets: promos.len() as u64,
-        weight,
-    }
+    let fallback = Inst::CallIndirect {
+        site,
+        args,
+        resolved: true,
+        asm: false,
+    };
+    f.append_block(vec![fallback], Terminator::Jump { target: merge_id });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pibe_ir::{FunctionBuilder, OpKind};
+    use pibe_ir::{FnAttrs, FunctionBuilder, OpKind};
+    use pibe_trace::Value;
 
     /// root() { icall(site) } with three possible targets; profile observes
     /// them with the given counts.
@@ -434,26 +420,87 @@ mod tests {
         assert_eq!(stats.promoted_weight, 500);
     }
 
-    #[test]
-    fn asm_sites_are_never_promoted() {
-        let mut m = Module::new("m");
-        let mut b = FunctionBuilder::new("t", 0);
-        b.ret();
-        let t = m.add_function(b.build());
-        let site = m.fresh_site();
-        let mut b = FunctionBuilder::new("paravirt", 0);
-        b.call_indirect_asm(site, 0);
-        b.ret();
-        m.add_function(b.build());
-        let mut p = Profile::new();
-        for _ in 0..100 {
-            p.record_indirect(site, t);
+    /// Adds a function holding one unresolved indirect call per site,
+    /// inline assembly when `asm`.
+    fn holder(m: &mut Module, name: &str, sites: &[SiteId], optnone: bool, asm: bool) -> FuncId {
+        let mut b = FunctionBuilder::new(name, 0);
+        b.attrs(FnAttrs {
+            optnone,
+            ..FnAttrs::default()
+        });
+        for &s in sites {
+            if asm {
+                b.call_indirect_asm(s, 0);
+            } else {
+                b.call_indirect(s, 0);
+            }
         }
-        let mut w = SiteWeights::new();
-        let stats = promote_indirect_calls(&mut m, &mut w, &p, &IcpConfig::default());
-        assert_eq!(stats.promoted_sites, 0);
-        assert_eq!(stats.skipped_sites, 1);
-        assert_eq!(m.census().indirect_calls, 1, "module unchanged");
+        b.ret();
+        m.add_function(b.build())
+    }
+
+    /// A site id held by two functions goes to the first in module order,
+    /// whether or not another selected site lives after the second holder.
+    #[test]
+    fn plan_owner_is_the_first_holder_in_module_order() {
+        let mut m = Module::new("m");
+        let t = holder(&mut m, "t", &[], false, false);
+        let (s, other) = (m.fresh_site(), m.fresh_site());
+        let fa = holder(&mut m, "fa", &[s], false, false);
+        holder(&mut m, "fb", &[s], true, false);
+        let fc = holder(&mut m, "fc", &[other], false, false);
+        let mut alone = Profile::new();
+        alone.record_indirect(s, t);
+        let mut both = alone.clone();
+        both.record_indirect(other, t);
+        let owners = |p: &Profile| -> Vec<(SiteId, FuncId)> {
+            let (plan, _) = plan_promotions(&m, p, &IcpConfig::default());
+            plan.iter().map(|d| (d.site, d.owner)).collect()
+        };
+        assert_eq!(owners(&alone), [(s, fa)]);
+        assert_eq!(owners(&both), [(s, fa), (other, fc)]);
+    }
+
+    /// Each skip rule counts in `skipped_sites`, emits one `icp.skip` event
+    /// naming its reason and allocates no fresh site.
+    #[test]
+    fn every_skip_emits_its_reason() {
+        let mut m = Module::new("m");
+        let t = holder(&mut m, "t", &[], false, false);
+        let [s_asm, s_optnone, s_gone, s_ok] = [(); 4].map(|_| m.fresh_site());
+        let paravirt = holder(&mut m, "paravirt", &[s_asm], false, true);
+        let cold = holder(&mut m, "cold", &[s_optnone], true, false);
+        holder(&mut m, "hot", &[s_ok], false, false);
+        // Hottest first, so every skip is planned before the promotion.
+        let mut p = Profile::new();
+        for (s, n) in [(s_asm, 4), (s_optnone, 3), (s_gone, 2), (s_ok, 1)] {
+            (0..n).for_each(|_| p.record_indirect(s, t));
+        }
+
+        let watermark = SiteId::from_raw(m.peek_next_site());
+        let mut weights = SiteWeights::new();
+        pibe_trace::set_enabled(true);
+        let stats = {
+            // Names this thread's track among any others recording.
+            let _span = pibe_trace::span("test.icp_skip");
+            promote_indirect_calls(&mut m, &mut weights, &p, &IcpConfig::default())
+        };
+        let data = pibe_trace::take();
+        pibe_trace::set_enabled(false);
+
+        assert_eq!((stats.skipped_sites, stats.promoted_sites), (3, 1));
+        assert_eq!(weights.iter().collect::<Vec<_>>(), [(watermark, 1)]);
+        // The skipped sites are left unresolved where they were.
+        let owner = |s| m.call_sites().indirect_owner(s);
+        assert_eq!(owner(s_asm), Some((paravirt, true)));
+        assert_eq!(owner(s_optnone), Some((cold, false)));
+        let track = data.spans.iter().find(|s| s.name == "test.icp_skip");
+        let track = track.map(|s| s.track);
+        let skips = data.events.iter();
+        let skips = skips.filter(|e| Some(e.track) == track && e.name == "icp.skip");
+        let expected = [(s_asm, "asm"), (s_optnone, "optnone"), (s_gone, "no_owner")]
+            .map(|(s, r)| vec![("site", Value::from(s.raw())), ("reason", Value::from(r))]);
+        assert_eq!(skips.map(|e| e.args.clone()).collect::<Vec<_>>(), expected);
     }
 
     #[test]

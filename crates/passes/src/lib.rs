@@ -68,7 +68,7 @@ mod transform;
 mod weights;
 
 pub use dce::{strip_unreachable, strip_unreachable_threaded, DceMap, DceStats};
-pub use icp::{promote_indirect_calls, select_promotions, IcpConfig, IcpStats, SitePlan};
+pub use icp::{plan_promotions, promote_indirect_calls, IcpConfig, IcpSiteDecision, IcpStats};
 pub use inliner::{rule1_selection, run_inliner, InlinerConfig, InlinerStats};
 pub use spectre_v1::{fence_all_conditionals, fence_gadgets, find_v1_gadgets, V1Gadget};
 pub use stats::PassStats;

@@ -5,7 +5,7 @@ use crate::config::ServeConfig;
 use crate::delta::{ProfileDelta, QuarantineReason, QuarantinedDelta};
 use crate::state::{EpochJournal, EpochOutcome, EpochRecord, ServiceState};
 use crate::watchdog::{supervise, WatchdogVerdict};
-use pibe::{DecisionSurface, Image, ModuleIndex, PibeConfig, PipelineError};
+use pibe::{DecisionSurface, Image, PibeConfig, PipelineError};
 use pibe_ir::Module;
 use pibe_profile::Profile;
 use std::fmt;
@@ -111,7 +111,6 @@ impl Rebuilder for PipelineRebuilder {
 /// reproduces the live state machine exactly.
 pub struct PibeService {
     base: Arc<Module>,
-    index: ModuleIndex,
     config: PibeConfig,
     serve: ServeConfig,
     cumulative: Profile,
@@ -171,11 +170,9 @@ impl PibeService {
             .config(config)
             .threads(1)
             .build()?;
-        let index = ModuleIndex::new(&base);
-        let surface = DecisionSurface::compute(&index, &initial, &config);
+        let surface = DecisionSurface::compute(&base, &initial, &config);
         Ok(PibeService {
             base: Arc::new(base),
-            index,
             config,
             serve,
             cumulative: initial,
@@ -299,7 +296,7 @@ impl PibeService {
         }
 
         // Phase 3: drift detection against the served image's surface.
-        let new_surface = DecisionSurface::compute(&self.index, &scratch, &self.config);
+        let new_surface = DecisionSurface::compute(&self.base, &scratch, &self.config);
         let report = self.surface.diff(&new_surface);
         let drifted = report.drifted_functions();
 

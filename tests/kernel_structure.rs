@@ -158,14 +158,12 @@ fn profiling_observes_only_reachable_direct_sites() {
         .collect();
     let reach = reachable(&k, &roots, &address_taken);
     // Every profiled direct site must belong to a reachable function.
-    let mut site_owner = std::collections::HashMap::new();
-    for f in k.module.functions() {
-        for inst in f.insts() {
-            if let Inst::Call { site, .. } = inst {
-                site_owner.insert(*site, f.id());
-            }
-        }
-    }
+    let calls = k.module.call_sites();
+    let site_owner: std::collections::HashMap<_, _> = k
+        .module
+        .func_ids()
+        .flat_map(|f| calls.direct_calls(f).map(move |(site, _)| (site, f)))
+        .collect();
     for (site, count) in p.iter_direct() {
         assert!(count > 0);
         let owner = site_owner[&site];

@@ -291,8 +291,9 @@ fn finish_trace(args: &Args) {
     }
 }
 
-/// Summarises the lab's image-farm activity: cache effectiveness and the
-/// wall-clock cost of each pipeline stage summed over every build.
+/// Summarises the lab's image-farm activity: cache effectiveness, the
+/// evaluation memo's requests and simulated suite runs, and the wall-clock
+/// cost of each pipeline stage summed over every build.
 fn build_report(lab: &Lab) -> Table {
     let stats = lab.farm().stats();
     let metrics = lab.build_metrics();
@@ -308,6 +309,15 @@ fn build_report(lab: &Lab) -> Table {
     t.row(vec!["image requests".into(), stats.requests.to_string()]);
     t.row(vec!["pipeline builds".into(), stats.builds.to_string()]);
     t.row(vec!["cache hits".into(), stats.hits.to_string()]);
+    let evals = lab.eval_stats();
+    t.row(vec![
+        "evaluations requested".into(),
+        evals.requests.to_string(),
+    ]);
+    t.row(vec![
+        "evaluations simulated".into(),
+        evals.simulated.to_string(),
+    ]);
     t.row(vec![
         "distinct configurations".into(),
         stats.cached.to_string(),

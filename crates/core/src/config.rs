@@ -3,6 +3,7 @@
 use pibe_harden::{Arch, DefenseSet};
 use pibe_passes::{IcpConfig, InlinerConfig};
 use pibe_profile::Budget;
+use pibe_sim::SimConfig;
 use serde::{Deserialize, Serialize};
 
 /// One kernel build configuration: which optimizations run (and at what
@@ -47,6 +48,16 @@ impl PibeConfig {
     /// "how Linux is typically deployed" (§8.1).
     pub fn lto() -> Self {
         Self::builder().build()
+    }
+
+    /// The simulator configuration that runs this configuration's image as
+    /// built: its defenses, charged by its architecture's backend.
+    pub fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            defenses: self.defenses,
+            arch: self.arch,
+            ..SimConfig::default()
+        }
     }
 
     /// LTO plus defenses, still no optimization (the costly upper rows of

@@ -1,14 +1,14 @@
 //! Measurement sweeps and overhead arithmetic.
 
 use pibe_ir::Module;
-use pibe_kernel::measure::{run_latency, run_throughput};
+use pibe_kernel::measure::{run_latency, run_throughput, LatencyResult};
 use pibe_kernel::workloads::{Benchmark, MacroBench, WorkloadSpec};
 use pibe_kernel::Kernel;
-use pibe_sim::{AttackReport, SimConfig};
+use pibe_sim::{AttackReport, ExecStats, SimConfig};
 use serde::{Deserialize, Serialize};
 
 /// One LMBench row measured on one image.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyRow {
     /// Benchmark name (Table 2 row).
     pub name: String,
@@ -18,13 +18,67 @@ pub struct LatencyRow {
     pub micros: f64,
 }
 
+/// Everything one run of the latency suite measures on one image: the
+/// per-benchmark rows, the execution statistics summed over the suite and
+/// the attack surface merged over it (empty unless the run tracked
+/// attacks).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Evaluation {
+    /// One row per benchmark, in suite order.
+    pub rows: Vec<LatencyRow>,
+    /// Execution statistics summed over every benchmark's run.
+    pub stats: ExecStats,
+    /// Hijackable executions summed over every benchmark's run.
+    pub attacks: AttackReport,
+}
+
 /// Runs the whole latency `suite` against `module`, one warm simulator per
 /// benchmark (as LMBench runs each micro in its own process), in parallel
-/// across benchmarks.
+/// across benchmarks. Totals are summed in suite order.
 ///
 /// # Panics
 /// Panics if the simulator fails, which a well-formed kernel image cannot
 /// cause — an error here means the image or workload is malformed.
+pub fn lmbench_evaluation(
+    module: &Module,
+    kernel: &Kernel,
+    workload: &WorkloadSpec,
+    suite: &[Benchmark],
+    cfg: SimConfig,
+    seed: u64,
+) -> Evaluation {
+    let mut runs: Vec<Option<(LatencyResult, ExecStats, AttackReport)>> = Vec::new();
+    runs.resize_with(suite.len(), || None);
+    std::thread::scope(|scope| {
+        for (slot, bench) in runs.iter_mut().zip(suite.iter()) {
+            scope.spawn(move || {
+                let _span = sim_span(bench.syscall.name());
+                *slot = Some(
+                    run_latency(module, kernel, workload, *bench, cfg, seed)
+                        .expect("latency benchmark must run on a well-formed image"),
+                );
+            });
+        }
+    });
+    let mut total = Evaluation {
+        rows: Vec::with_capacity(suite.len()),
+        stats: ExecStats::default(),
+        attacks: AttackReport::default(),
+    };
+    for (bench, run) in suite.iter().zip(runs) {
+        let (lat, stats, attacks) = run.expect("all slots filled");
+        total.rows.push(LatencyRow {
+            name: bench.syscall.name().to_string(),
+            cycles: lat.cycles_per_iter,
+            micros: lat.micros,
+        });
+        total.stats.merge(&stats);
+        total.attacks.merge(&attacks);
+    }
+    total
+}
+
+/// The rows of [`lmbench_evaluation`].
 pub fn lmbench_latencies(
     module: &Module,
     kernel: &Kernel,
@@ -33,49 +87,7 @@ pub fn lmbench_latencies(
     cfg: SimConfig,
     seed: u64,
 ) -> Vec<LatencyRow> {
-    let mut rows: Vec<Option<LatencyRow>> = Vec::new();
-    rows.resize_with(suite.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot, bench) in rows.iter_mut().zip(suite.iter()) {
-            scope.spawn(move || {
-                let _span = sim_span(bench.syscall.name());
-                let (lat, _, _) = run_latency(module, kernel, workload, *bench, cfg, seed)
-                    .expect("latency benchmark must run on a well-formed image");
-                *slot = Some(LatencyRow {
-                    name: bench.syscall.name().to_string(),
-                    cycles: lat.cycles_per_iter,
-                    micros: lat.micros,
-                });
-            });
-        }
-    });
-    rows.into_iter()
-        .map(|r| r.expect("all slots filled"))
-        .collect()
-}
-
-/// Runs the suite and additionally aggregates the dynamic attack surface
-/// across all benchmarks (for the security evaluation).
-pub fn lmbench_attack_surface(
-    module: &Module,
-    kernel: &Kernel,
-    workload: &WorkloadSpec,
-    suite: &[Benchmark],
-    cfg: SimConfig,
-    seed: u64,
-) -> AttackReport {
-    let cfg = SimConfig {
-        track_attacks: true,
-        ..cfg
-    };
-    let mut total = AttackReport::default();
-    for bench in suite {
-        let _span = sim_span(bench.syscall.name());
-        let (_, _, attacks) = run_latency(module, kernel, workload, *bench, cfg, seed)
-            .expect("attack-tracked benchmark must run");
-        total.merge(&attacks);
-    }
-    total
+    lmbench_evaluation(module, kernel, workload, suite, cfg, seed).rows
 }
 
 /// Macro throughput of `bench` on `module` (requests/sec analogue).

@@ -12,7 +12,6 @@ use super::{ExperimentError, Lab};
 use crate::config::PibeConfig;
 use crate::report::{pct, Table};
 use pibe_harden::DefenseSet;
-use pibe_kernel::measure::run_latency;
 use pibe_sim::ExecStats;
 use serde::{Deserialize, Serialize};
 
@@ -43,37 +42,13 @@ impl CycleBreakdown {
     }
 }
 
-fn suite_breakdown(lab: &Lab, image: &crate::Image) -> Result<CycleBreakdown, ExperimentError> {
-    let cfg = image.sim_config();
-    let mut total = ExecStats::default();
-    for bench in &lab.suite {
-        let (_, stats, _) = run_latency(
-            &image.module,
-            &lab.kernel,
-            &lab.workload,
-            *bench,
-            cfg,
-            lab.seed,
-        )
-        .map_err(|source| ExperimentError::Benchmark {
-            benchmark: bench.syscall.name().to_string(),
-            seed: lab.seed,
-            source,
-        })?;
-        total.cycles += stats.cycles;
-        total.cycles_defense += stats.cycles_defense;
-        total.cycles_prediction += stats.cycles_prediction;
-        total.cycles_locality += stats.cycles_locality;
-    }
-    Ok(CycleBreakdown::of(&total))
-}
-
 /// Decomposes the LMBench cycle total of four configurations into the three
-/// cost channels plus base compute.
+/// cost channels plus base compute, read from the lab's evaluation records
+/// (the same runs the overhead tables measure).
 ///
 /// # Errors
-/// [`ExperimentError::Benchmark`] naming the benchmark and seed when a
-/// measurement fails.
+/// Never returns an error; the `Result` keeps the experiment signatures
+/// uniform.
 pub fn cycle_breakdown(lab: &Lab) -> Result<(Table, Vec<CycleBreakdown>), ExperimentError> {
     let configs: [(&str, PibeConfig); 4] = [
         ("LTO baseline", PibeConfig::builder().build()),
@@ -100,8 +75,7 @@ pub fn cycle_breakdown(lab: &Lab) -> Result<(Table, Vec<CycleBreakdown>), Experi
     let mut out = Vec::new();
     lab.prefetch(&configs.map(|(_, c)| c));
     for (name, config) in configs {
-        let image = lab.image(&config);
-        let b = suite_breakdown(lab, &image)?;
+        let b = CycleBreakdown::of(&lab.measure(&config).stats);
         let share = |part: u64| pct(part as f64 / b.total as f64 * 100.0);
         table.row(vec![
             name.to_string(),
@@ -154,10 +128,12 @@ mod tests {
     #[test]
     fn breakdown_charges_defenses_at_the_image_arch() {
         use pibe_harden::Arch;
+        use pibe_kernel::measure::run_latency;
         use pibe_sim::SimConfig;
         let mut lab = Lab::test();
         lab.arch = Arch::Arm64;
-        let image = lab.image(&PibeConfig::builder().defenses(DefenseSet::ALL).build());
+        let config = PibeConfig::builder().defenses(DefenseSet::ALL).build();
+        let image = lab.image(&config);
         assert_eq!(image.config.arch, Arch::Arm64);
         let defense_at = |arch: Arch| -> u64 {
             let cfg = SimConfig {
@@ -180,7 +156,7 @@ mod tests {
                 })
                 .sum()
         };
-        let charged = suite_breakdown(&lab, &image).expect("breakdown runs");
+        let charged = CycleBreakdown::of(&lab.measure(&config).stats);
         assert_eq!(charged.defense, defense_at(Arch::Arm64));
         assert_ne!(charged.defense, defense_at(Arch::X86), "x86 costs differ");
     }

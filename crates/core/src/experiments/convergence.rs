@@ -8,9 +8,9 @@
 //! rarely-taken hooks, low-weight targets — is what the extra rounds
 //! gradually pick up.
 
-use super::{ExperimentError, Lab};
+use super::{ExperimentError, Lab, PREFIX_ROUNDS};
 use crate::report::{pct, Table};
-use pibe_kernel::measure::collect_profile;
+use pibe_kernel::measure::merge_profile_rounds;
 use pibe_profile::{overlap, Budget};
 use serde::{Deserialize, Serialize};
 
@@ -26,11 +26,14 @@ pub struct ConvergencePoint {
 }
 
 /// Measures candidate overlap for 1, 2, 4, and 8 aggregated rounds against
-/// the lab's reference profile.
+/// the lab's reference profile. Each n-round profile is the one
+/// [`Lab::new`] kept on the way to its own profile; round counts above the
+/// lab's are reached by continuing the lab's profile, so no round is
+/// simulated twice.
 ///
 /// # Errors
 /// [`ExperimentError::Profiling`] naming the round count and seed when one
-/// of the re-profiling runs fails.
+/// of the continued profiling runs fails.
 pub fn profiling_convergence(lab: &Lab) -> Result<(Table, Vec<ConvergencePoint>), ExperimentError> {
     let mut table = Table::new(
         "Profiling convergence: candidate overlap with the reference profile (99.9% budget)",
@@ -40,16 +43,39 @@ pub fn profiling_convergence(lab: &Lab) -> Result<(Table, Vec<ConvergencePoint>)
             "inline candidates shared",
         ],
     );
-    let mut out = Vec::new();
-    for rounds in [1u32, 2, 4, 8] {
-        let p = collect_profile(&lab.kernel, &lab.workload, &lab.suite, rounds, lab.seed).map_err(
-            |source| ExperimentError::Profiling {
-                workload: format!("{} ({rounds} rounds)", lab.workload.name),
-                seed: lab.seed,
-                source,
+    let last = PREFIX_ROUNDS[PREFIX_ROUNDS.len() - 1];
+    let mut continued = Vec::new();
+    if last > lab.rounds {
+        let mut merged = lab.profile.clone();
+        merge_profile_rounds(
+            &lab.kernel,
+            &lab.workload,
+            &lab.suite,
+            &mut merged,
+            lab.rounds..last,
+            lab.seed,
+            |n, p| {
+                if PREFIX_ROUNDS.contains(&n) {
+                    continued.push((n, p.clone()));
+                }
             },
-        )?;
-        let ov = overlap::overlap(&lab.profile, &p, Budget::P99_9);
+        )
+        .map_err(|source| ExperimentError::Profiling {
+            workload: format!("{} ({last} rounds)", lab.workload.name),
+            seed: lab.seed,
+            source,
+        })?;
+    }
+    let mut out = Vec::new();
+    for rounds in PREFIX_ROUNDS {
+        let p = lab.profile_after(rounds).unwrap_or_else(|| {
+            continued
+                .iter()
+                .find(|(n, _)| *n == rounds)
+                .map(|(_, p)| p)
+                .expect("every round count is kept or continued")
+        });
+        let ov = overlap::overlap(&lab.profile, p, Budget::P99_9);
         let point = ConvergencePoint {
             rounds,
             icp_shared_pct: ov.icp_shared_weight * 100.0,

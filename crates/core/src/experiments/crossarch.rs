@@ -100,8 +100,10 @@ pub fn cross_arch(lab: &Lab) -> (Table, Vec<CrossArchPoint>) {
         let mut cells = vec![rung.to_string()];
         for arch in arches {
             let image = lab.image_for_arch(config, arch);
-            let rows = lab.latencies(&image);
-            let overhead = lab.geomean(&rows);
+            let rows = &lab
+                .evaluate_for_arch(config, arch, image.config.sim_config())
+                .rows;
+            let overhead = lab.geomean(rows);
             let backend = arch.backend();
             let cycles_elided = image
                 .icp_stats

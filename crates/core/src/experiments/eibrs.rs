@@ -10,7 +10,6 @@
 
 use super::Lab;
 use crate::config::PibeConfig;
-use crate::eval;
 use crate::report::{pct, Table};
 use pibe_harden::{Arch, DefenseSet};
 use pibe_profile::Budget;
@@ -40,34 +39,9 @@ pub fn eibrs_comparison(lab: &Lab) -> (Table, Vec<ForwardEdgePosture>) {
             "kernel-trained V2",
         ],
     );
-    let mut out = Vec::new();
-    let mut measure = |name: &str, image: &crate::Image, cfg: SimConfig| {
-        let rows = lab.latencies_with(image, cfg);
-        let overhead = lab.geomean(&rows);
-        let attacks = eval::lmbench_attack_surface(
-            &image.module,
-            &lab.kernel,
-            &lab.workload,
-            &lab.suite,
-            cfg,
-            lab.seed,
-        );
-        table.row(vec![
-            name.to_string(),
-            pct(overhead),
-            attacks.btb_hijackable_icalls.to_string(),
-            attacks.btb_kernel_trained_icalls.to_string(),
-        ]);
-        out.push(ForwardEdgePosture {
-            overhead_pct: overhead,
-            cross_domain: attacks.btb_hijackable_icalls,
-            kernel_trained: attacks.btb_kernel_trained_icalls,
-        });
-    };
-
     // eIBRS and retpolines are x86 mitigations: every posture runs on an
     // x86 image, whatever the lab's arch.
-    let configs = [
+    let [lto, retp, retp_pibe] = [
         PibeConfig::builder().build(),
         PibeConfig::builder()
             .defenses(DefenseSet::RETPOLINES)
@@ -79,20 +53,37 @@ pub fn eibrs_comparison(lab: &Lab) -> (Table, Vec<ForwardEdgePosture>) {
     ]
     .map(|c| c.with_arch(Arch::X86));
     lab.farm()
-        .prefetch(&configs)
+        .prefetch(&[lto, retp, retp_pibe])
         .unwrap_or_else(|e| panic!("prefetch build failed: {e}"));
-    let [lto, retp, retp_pibe] = configs.map(|c| lab.image_for_arch(&c, Arch::X86));
-    measure("no forward-edge defense", &lto, lto.sim_config());
-    measure(
-        "eIBRS",
-        &lto,
-        SimConfig {
-            eibrs: true,
-            ..lto.sim_config()
-        },
-    );
-    measure("retpolines (unoptimized)", &retp, retp.sim_config());
-    measure("retpolines + PIBE icp", &retp_pibe, retp_pibe.sim_config());
+    let postures = [
+        ("no forward-edge defense", lto, lto.sim_config()),
+        (
+            "eIBRS",
+            lto,
+            SimConfig {
+                eibrs: true,
+                ..lto.sim_config()
+            },
+        ),
+        ("retpolines (unoptimized)", retp, retp.sim_config()),
+        ("retpolines + PIBE icp", retp_pibe, retp_pibe.sim_config()),
+    ];
+    let mut out = Vec::new();
+    for (name, config, cfg) in postures {
+        let e = lab.evaluate_for_arch(&config, Arch::X86, cfg);
+        let overhead = lab.geomean(&e.rows);
+        table.row(vec![
+            name.to_string(),
+            pct(overhead),
+            e.attacks.btb_hijackable_icalls.to_string(),
+            e.attacks.btb_kernel_trained_icalls.to_string(),
+        ]);
+        out.push(ForwardEdgePosture {
+            overhead_pct: overhead,
+            cross_domain: e.attacks.btb_hijackable_icalls,
+            kernel_trained: e.attacks.btb_kernel_trained_icalls,
+        });
+    }
     (table, out)
 }
 

@@ -31,18 +31,20 @@ pub use userspace::{userspace, UserspaceSummary};
 pub use v1::{spectre_v1_fencing, V1Summary};
 
 use crate::config::PibeConfig;
-use crate::eval::{self, LatencyRow};
+use crate::eval::{self, Evaluation, LatencyRow};
 use crate::farm::ImageFarm;
 use crate::pipeline::{BuildMetrics, Image, PipelineError};
 use pibe_harden::{Arch, DefenseSet};
 use pibe_ir::Module;
-use pibe_kernel::measure::collect_profile;
+use pibe_kernel::measure::merge_profile_rounds;
 use pibe_kernel::workloads::{lmbench_suite, Benchmark, WorkloadSpec};
 use pibe_kernel::{Kernel, KernelSpec};
 use pibe_profile::Profile;
 use pibe_sim::{SimConfig, SimError};
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Why an experiment could not produce its numbers. Every variant names
 /// the workload, benchmark, or build that failed (and the seed it ran
@@ -104,8 +106,21 @@ impl From<PipelineError> for ExperimentError {
     }
 }
 
-/// The experiment harness: one generated kernel, one profiling run, and one
-/// image farm shared across all tables.
+/// One evaluation slot: filled exactly once, shared by every requester.
+type EvalSlot = Arc<OnceLock<Arc<Evaluation>>>;
+
+/// Counters of a lab's evaluation memo.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvalStats {
+    /// Evaluations requested through [`Lab::evaluate`] and its variants.
+    pub requests: u64,
+    /// Suite runs simulated to answer them: at most one per distinct
+    /// (farm image, [`SimConfig`]) pair.
+    pub simulated: u64,
+}
+
+/// The experiment harness: one generated kernel, one profiling run, one
+/// image farm and one evaluation memo shared across all tables.
 #[derive(Debug)]
 pub struct Lab {
     /// The synthetic kernel under evaluation.
@@ -116,6 +131,8 @@ pub struct Lab {
     pub suite: Vec<Benchmark>,
     /// Profile aggregated over the profiling rounds (11 in the paper).
     pub profile: Profile,
+    /// Profiling rounds merged into [`Lab::profile`].
+    pub rounds: u32,
     /// LTO-baseline latencies (no optimization, no defenses).
     pub lto_latencies: Vec<LatencyRow>,
     /// Simulation seed shared by all measurements.
@@ -126,15 +143,27 @@ pub struct Lab {
     /// every table runs per-arch without per-table changes; configurations
     /// carrying an explicit non-x86 arch pass through untouched.
     pub arch: Arch,
+    /// The merged profile after each of [`PREFIX_ROUNDS`] rounds that is
+    /// not above [`Lab::rounds`], kept while collecting [`Lab::profile`].
+    prefixes: Vec<(u32, Profile)>,
     /// The build farm: every image any table requests is built exactly once
     /// here and shared.
     farm: ImageFarm,
+    /// The evaluation memo, keyed by the farm's (arch-stamped) config and
+    /// the full simulator configuration.
+    evals: Mutex<HashMap<(PibeConfig, SimConfig), EvalSlot>>,
+    eval_requests: AtomicU64,
+    eval_runs: AtomicU64,
 }
+
+/// The round counts whose merged profiles [`Lab::new`] keeps on the way to
+/// its full profile (the convergence experiment's points).
+pub const PREFIX_ROUNDS: [u32; 4] = [1, 2, 4, 8];
 
 impl Lab {
     /// Builds a lab: generates the kernel, collects the aggregated LMBench
-    /// profile (`rounds` runs, 11 in the paper), and measures the LTO
-    /// baseline.
+    /// profile (`rounds` runs, 11 in the paper, keeping the profiles after
+    /// [`PREFIX_ROUNDS`] on the way), and measures the LTO baseline.
     ///
     /// # Errors
     /// [`ExperimentError::Profiling`] naming the workload and seed when the
@@ -153,14 +182,26 @@ impl Lab {
         let suite = lmbench_suite(iters);
         let seed = 0xBA5E;
         let profile_span = pibe_trace::span("lab.profile");
-        let profile =
-            collect_profile(&kernel, &workload, &suite, rounds, seed).map_err(|source| {
-                ExperimentError::Profiling {
-                    workload: workload.name.clone(),
-                    seed,
-                    source,
+        let mut profile = Profile::new();
+        let mut prefixes = Vec::new();
+        merge_profile_rounds(
+            &kernel,
+            &workload,
+            &suite,
+            &mut profile,
+            0..rounds,
+            seed,
+            |n, merged| {
+                if PREFIX_ROUNDS.contains(&n) {
+                    prefixes.push((n, merged.clone()));
                 }
-            })?;
+            },
+        )
+        .map_err(|source| ExperimentError::Profiling {
+            workload: workload.name.clone(),
+            seed,
+            source,
+        })?;
         drop(profile_span);
         let baseline_span = pibe_trace::span("lab.baseline");
         let lto_latencies = eval::lmbench_latencies(
@@ -179,10 +220,15 @@ impl Lab {
             workload,
             suite,
             profile,
+            rounds,
             lto_latencies,
             seed,
             arch: Arch::from_env(),
+            prefixes,
             farm,
+            evals: Mutex::new(HashMap::new()),
+            eval_requests: AtomicU64::new(0),
+            eval_runs: AtomicU64::new(0),
         })
     }
 
@@ -192,6 +238,16 @@ impl Lab {
     /// Panics if the profiling run fails (tests want the loud failure).
     pub fn test() -> Lab {
         Lab::new(KernelSpec::test(), 8, 2).expect("test lab builds")
+    }
+
+    /// The merged profile after the first `rounds` profiling rounds, when
+    /// [`Lab::new`] kept it (`rounds` is in [`PREFIX_ROUNDS`] and not above
+    /// [`Lab::rounds`]). It equals `collect_profile(rounds)`.
+    pub fn profile_after(&self, rounds: u32) -> Option<&Profile> {
+        self.prefixes
+            .iter()
+            .find(|(n, _)| *n == rounds)
+            .map(|(_, p)| p)
     }
 
     /// Stamps the lab's arch onto a configuration still at the default
@@ -207,25 +263,26 @@ impl Lab {
         }
     }
 
+    /// The farm's image for an already arch-resolved `config`.
+    fn farm_image(&self, config: &PibeConfig) -> Arc<Image> {
+        self.farm
+            .image(config)
+            .unwrap_or_else(|e| panic!("image build failed for {config:?}: {e}"))
+    }
+
     /// The image for `config`, built through the lab's farm: the first
     /// request for a configuration builds it, every later request shares
     /// the same `Arc`'d image. Configs at the default arch are re-stamped
     /// to the lab's arch (see [`Lab::arch`]).
     pub fn image(&self, config: &PibeConfig) -> Arc<Image> {
-        let config = self.arched(config);
-        self.farm
-            .image(&config)
-            .unwrap_or_else(|e| panic!("image build failed for {config:?}: {e}"))
+        self.farm_image(&self.arched(config))
     }
 
     /// The image for `config` pinned to an explicit architecture, ignoring
     /// the lab's default. The cross-arch experiment uses this to build the
     /// same optimization configuration for every backend in one lab.
     pub fn image_for_arch(&self, config: &PibeConfig, arch: Arch) -> Arc<Image> {
-        let config = config.with_arch(arch);
-        self.farm
-            .image(&config)
-            .unwrap_or_else(|e| panic!("image build failed for {config:?}: {e}"))
+        self.farm_image(&config.with_arch(arch))
     }
 
     /// Builds every configuration in `configs` across the farm's worker
@@ -248,17 +305,79 @@ impl Lab {
         self.farm.aggregate_metrics()
     }
 
-    /// Measures the latency suite on `image` under its own defenses and
-    /// architecture.
-    pub fn latencies(&self, image: &Image) -> Vec<LatencyRow> {
-        self.latencies_with(image, image.sim_config())
+    /// How many evaluations the lab was asked for and how many it
+    /// simulated.
+    pub fn eval_stats(&self) -> EvalStats {
+        EvalStats {
+            requests: self.eval_requests.load(Ordering::Relaxed),
+            simulated: self.eval_runs.load(Ordering::Relaxed),
+        }
     }
 
-    /// Measures the latency suite on `image` with an explicit simulator
-    /// configuration (used for the JumpSwitches runtime mechanism).
-    pub fn latencies_with(&self, image: &Image, cfg: SimConfig) -> Vec<LatencyRow> {
-        eval::lmbench_latencies(
-            &image.module,
+    /// The latency suite run on the farm's image for `config` (re-stamped
+    /// like [`Lab::image`]) under simulator configuration `cfg`, with
+    /// attack tracking on. Each distinct (image, `cfg`) pair is simulated
+    /// once per lab; every later request shares the `Arc`'d record.
+    pub fn evaluate(&self, config: &PibeConfig, cfg: SimConfig) -> Arc<Evaluation> {
+        self.record(self.arched(config), cfg)
+    }
+
+    /// [`Lab::evaluate`] on the image pinned to `arch`, like
+    /// [`Lab::image_for_arch`].
+    pub fn evaluate_for_arch(
+        &self,
+        config: &PibeConfig,
+        arch: Arch,
+        cfg: SimConfig,
+    ) -> Arc<Evaluation> {
+        self.record(config.with_arch(arch), cfg)
+    }
+
+    /// [`Lab::evaluate`] under the image's own simulator configuration: its
+    /// defenses, charged at its arch.
+    pub fn measure(&self, config: &PibeConfig) -> Arc<Evaluation> {
+        let config = self.arched(config);
+        self.record(config, config.sim_config())
+    }
+
+    /// The memoized evaluation of the farm image for the arch-resolved
+    /// `config`. Attack tracking only observes, so turning it on for every
+    /// record leaves the cycles unchanged and serves the attack counts from
+    /// the same run.
+    fn record(&self, config: PibeConfig, cfg: SimConfig) -> Arc<Evaluation> {
+        let cfg = SimConfig {
+            track_attacks: true,
+            ..cfg
+        };
+        self.eval_requests.fetch_add(1, Ordering::Relaxed);
+        let slot = self
+            .evals
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry((config, cfg))
+            .or_default()
+            .clone();
+        let hit = slot.get().is_some();
+        let _span = pibe_trace::span_args("lab.evaluate", || {
+            vec![("hit", pibe_trace::Value::from(hit))]
+        });
+        let record = slot
+            .get_or_init(|| {
+                self.eval_runs.fetch_add(1, Ordering::Relaxed);
+                Arc::new(self.run_suite(&self.farm_image(&config).module, cfg))
+            })
+            .clone();
+        debug_assert!(
+            !hit || *record == self.run_suite(&self.farm_image(&config).module, cfg),
+            "the memoized evaluation of {config:?} under {cfg:?} must match a fresh run"
+        );
+        record
+    }
+
+    /// One unmemoized run of the latency suite on `module`.
+    fn run_suite(&self, module: &Module, cfg: SimConfig) -> Evaluation {
+        eval::lmbench_evaluation(
+            module,
             &self.kernel,
             &self.workload,
             &self.suite,
@@ -267,10 +386,12 @@ impl Lab {
         )
     }
 
-    /// Per-benchmark overhead (%) of `image` relative to the LTO baseline.
-    pub fn overheads(&self, image: &Image) -> Vec<(String, f64)> {
-        let rows = self.latencies(image);
-        self.overheads_of(&rows)
+    /// Measures the latency suite on a module built outside the farm (an
+    /// Apache-trained image, a baseline inliner's output, a fenced kernel).
+    /// Such a module shares no identity with a farm image, so it is
+    /// simulated on every call and never enters the evaluation memo.
+    pub fn latencies(&self, module: &Module, cfg: SimConfig) -> Vec<LatencyRow> {
+        self.run_suite(module, cfg).rows
     }
 
     /// Overheads of pre-measured rows relative to the LTO baseline.
@@ -288,19 +409,12 @@ impl Lab {
     /// face the same backend as the farm's images.
     pub(crate) fn hardened_overhead(&self, mut module: Module) -> f64 {
         pibe_harden::apply(&mut module, self.arch.backend(), DefenseSet::ALL, 1);
-        let rows = eval::lmbench_latencies(
-            &module,
-            &self.kernel,
-            &self.workload,
-            &self.suite,
-            SimConfig {
-                defenses: DefenseSet::ALL,
-                arch: self.arch,
-                ..SimConfig::default()
-            },
-            self.seed,
-        );
-        self.geomean(&rows)
+        let cfg = SimConfig {
+            defenses: DefenseSet::ALL,
+            arch: self.arch,
+            ..SimConfig::default()
+        };
+        self.geomean(&self.latencies(&module, cfg))
     }
 
     /// Geometric-mean overhead (%) of rows vs the LTO baseline.
@@ -314,9 +428,8 @@ impl Lab {
     /// Builds, measures, and summarises one configuration in a single call:
     /// `(geomean overhead %, per-bench overheads)`.
     pub fn run_config(&self, config: &PibeConfig) -> (f64, Vec<(String, f64)>) {
-        let image = self.image(config);
-        let rows = self.latencies(&image);
-        (self.geomean(&rows), self.overheads_of(&rows))
+        let rows = &self.measure(config).rows;
+        (self.geomean(rows), self.overheads_of(rows))
     }
 }
 
@@ -333,7 +446,138 @@ pub fn defense_sweep() -> [(&'static str, DefenseSet); 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pibe_baselines::jumpswitch_sim_config;
+    use pibe_kernel::measure::{collect_macro_profile, collect_profile};
+    use pibe_kernel::workloads::MacroBench;
     use pibe_profile::Budget;
+    use pibe_sim::JumpSwitchConfig;
+
+    /// A fresh, unmemoized suite run of the farm image for `config`.
+    fn fresh(lab: &Lab, config: &PibeConfig, cfg: SimConfig) -> Evaluation {
+        let image = lab.image(config);
+        eval::lmbench_evaluation(
+            &image.module,
+            &lab.kernel,
+            &lab.workload,
+            &lab.suite,
+            cfg,
+            lab.seed,
+        )
+    }
+
+    #[test]
+    fn memoized_records_equal_fresh_runs() {
+        let lab = Lab::test();
+        let lto = PibeConfig::lto();
+        let lax_all = PibeConfig::lax(DefenseSet::ALL);
+        let retp = PibeConfig::lto_with(DefenseSet::RETPOLINES);
+        let own = |c: &PibeConfig| lab.image(c).config.sim_config();
+        let cases = [
+            (lto, own(&lto)),
+            (lax_all, own(&lax_all)),
+            (
+                lto,
+                SimConfig {
+                    eibrs: true,
+                    ..own(&lto)
+                },
+            ),
+            (
+                lto,
+                SimConfig {
+                    rsb_refill: true,
+                    ..own(&lto)
+                },
+            ),
+            (retp, jumpswitch_sim_config(JumpSwitchConfig::default())),
+        ];
+        for (config, cfg) in cases {
+            let first = lab.evaluate(&config, cfg);
+            let again = lab.evaluate(&config, cfg);
+            assert!(Arc::ptr_eq(&first, &again), "{cfg:?}: one record per key");
+            let tracked = SimConfig {
+                track_attacks: true,
+                ..cfg
+            };
+            assert_eq!(*first, fresh(&lab, &config, tracked), "{cfg:?}");
+            // Attack tracking only observes: an untracked run measures the
+            // same rows and statistics.
+            let untracked = fresh(&lab, &config, cfg);
+            assert_eq!(first.rows, untracked.rows, "{cfg:?}");
+            assert_eq!(first.stats, untracked.stats, "{cfg:?}");
+        }
+        assert_eq!(
+            lab.eval_stats(),
+            EvalStats {
+                requests: 10,
+                simulated: 5
+            }
+        );
+        // `measure` and `run_config` read the same records.
+        let (geo, _) = lab.run_config(&lax_all);
+        assert!(Arc::ptr_eq(
+            &lab.measure(&lax_all),
+            &lab.evaluate(&lax_all, own(&lax_all))
+        ));
+        assert_eq!(geo, lab.geomean(&lab.measure(&lax_all).rows));
+        assert_eq!(lab.eval_stats().simulated, 5);
+    }
+
+    /// An image built outside the farm is measured on its own module even
+    /// when its configuration equals a farm image's.
+    #[test]
+    fn a_non_farm_image_with_a_farm_config_gets_its_own_numbers() {
+        let lab = Lab::test();
+        let config = PibeConfig::lax(DefenseSet::ALL).with_arch(lab.arch);
+        let apache = collect_macro_profile(
+            &lab.kernel,
+            &WorkloadSpec::apache(),
+            &MacroBench::apache(20),
+            2,
+            lab.seed,
+        )
+        .expect("apache profiling runs");
+        let outside = Image::builder(&lab.kernel.module)
+            .profile(&apache)
+            .config(config)
+            .build()
+            .expect("apache-trained image builds");
+        assert_eq!(outside.config, lab.image(&config).config);
+        let farm_rows = lab.measure(&config).rows.clone();
+        let own = lab.latencies(&outside.module, outside.config.sim_config());
+        assert_ne!(
+            own, farm_rows,
+            "the apache-trained image is a different image"
+        );
+        let direct = eval::lmbench_latencies(
+            &outside.module,
+            &lab.kernel,
+            &lab.workload,
+            &lab.suite,
+            outside.config.sim_config(),
+            lab.seed,
+        );
+        assert_eq!(own, direct);
+        assert_eq!(lab.eval_stats().simulated, 1, "never enters the memo");
+    }
+
+    #[test]
+    fn kept_prefix_profiles_equal_fresh_collections() {
+        let lab = Lab::new(KernelSpec::test(), 4, 8).expect("lab builds");
+        for k in PREFIX_ROUNDS {
+            let fresh = collect_profile(&lab.kernel, &lab.workload, &lab.suite, k, lab.seed)
+                .expect("profiling runs");
+            assert_eq!(lab.profile_after(k), Some(&fresh), "{k} rounds");
+        }
+        assert_eq!(lab.profile_after(8), Some(&lab.profile));
+        assert_eq!(lab.profile_after(3), None);
+        let short = Lab::new(KernelSpec::test(), 4, 2).expect("lab builds");
+        assert_eq!(
+            short.profile_after(4),
+            None,
+            "no prefix above the lab's rounds"
+        );
+    }
 
     #[test]
     fn lab_builds_and_measures_baseline() {

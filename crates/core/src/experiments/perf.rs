@@ -146,8 +146,7 @@ pub fn figure1() -> Table {
 /// Table 2: the two baselines — LTO vs PIBE-optimized (no defenses) —
 /// absolute latencies and relative overhead, geometric mean last.
 pub fn table2(lab: &Lab) -> Table {
-    let image = lab.image(&PibeConfig::builder().lax().build());
-    let rows = lab.latencies(&image);
+    let rows = &lab.measure(&PibeConfig::builder().lax().build()).rows;
     let mut t = Table::new(
         "Table 2: LTO baseline vs PIBE (PGO, no defenses) LMBench latencies",
         &[
@@ -157,7 +156,7 @@ pub fn table2(lab: &Lab) -> Table {
             "overhead",
         ],
     );
-    for (b, n) in lab.lto_latencies.iter().zip(&rows) {
+    for (b, n) in lab.lto_latencies.iter().zip(rows) {
         t.row(vec![
             b.name.clone(),
             micros(b.micros),
@@ -169,7 +168,7 @@ pub fn table2(lab: &Lab) -> Table {
         "Geometric Mean".into(),
         "-".into(),
         "-".into(),
-        pct(lab.geomean(&rows)),
+        pct(lab.geomean(rows)),
     ]);
     t
 }
@@ -194,39 +193,24 @@ const TABLE3_BENCHES: [&str; 12] = [
 /// at two budgets, all relative to the LTO baseline.
 pub fn table3(lab: &Lab) -> Table {
     let retp = DefenseSet::RETPOLINES;
-    lab.prefetch(&[
-        PibeConfig::builder().defenses(retp).build(),
-        PibeConfig::builder()
-            .icp(Budget::P99)
-            .defenses(retp)
-            .build(),
-        PibeConfig::builder()
-            .icp(Budget::P99_999)
-            .defenses(retp)
-            .build(),
-    ]);
-    let lto_image = lab.image(&PibeConfig::builder().defenses(retp).build());
-    let lto_rows = lab.latencies(&lto_image);
+    let lto = PibeConfig::builder().defenses(retp).build();
+    let icp99 = PibeConfig::builder()
+        .icp(Budget::P99)
+        .defenses(retp)
+        .build();
+    let icp999 = PibeConfig::builder()
+        .icp(Budget::P99_999)
+        .defenses(retp)
+        .build();
+    lab.prefetch(&[lto, icp99, icp999]);
+    let lto_rows = &lab.measure(&lto).rows;
     // JumpSwitches run on the *unoptimized* image with the runtime
     // mechanism handling forward edges.
-    let js_rows = lab.latencies_with(
-        &lto_image,
-        jumpswitch_sim_config(JumpSwitchConfig::default()),
-    );
-    let icp99 = lab.image(
-        &PibeConfig::builder()
-            .icp(Budget::P99)
-            .defenses(retp)
-            .build(),
-    );
-    let icp99_rows = lab.latencies(&icp99);
-    let icp999 = lab.image(
-        &PibeConfig::builder()
-            .icp(Budget::P99_999)
-            .defenses(retp)
-            .build(),
-    );
-    let icp999_rows = lab.latencies(&icp999);
+    let js_rows = &lab
+        .evaluate(&lto, jumpswitch_sim_config(JumpSwitchConfig::default()))
+        .rows;
+    let icp99_rows = &lab.measure(&icp99).rows;
+    let icp999_rows = &lab.measure(&icp999).rows;
 
     let mut t = Table::new(
         "Table 3: retpolines overhead vs LTO baseline",
@@ -272,10 +256,10 @@ pub fn table3(lab: &Lab) -> Table {
     };
     t.row(vec![
         "Geometric Mean".into(),
-        pct(geo(&lto_rows)),
-        pct(geo(&js_rows)),
-        pct(geo(&icp99_rows)),
-        pct(geo(&icp999_rows)),
+        pct(geo(lto_rows)),
+        pct(geo(js_rows)),
+        pct(geo(icp99_rows)),
+        pct(geo(icp999_rows)),
     ]);
     t
 }
@@ -326,13 +310,7 @@ pub fn table5(lab: &Lab) -> Table {
         ),
     ];
     lab.prefetch(&configs.iter().map(|(_, c)| *c).collect::<Vec<_>>());
-    let measured: Vec<Vec<eval::LatencyRow>> = configs
-        .iter()
-        .map(|(_, c)| {
-            let img = lab.image(c);
-            lab.latencies(&img)
-        })
-        .collect();
+    let measured: Vec<_> = configs.iter().map(|(_, c)| lab.measure(c)).collect();
 
     let mut headers: Vec<&str> = vec!["Test"];
     headers.extend(configs.iter().map(|(n, _)| *n));
@@ -342,14 +320,14 @@ pub fn table5(lab: &Lab) -> Table {
     );
     for (i, base) in lab.lto_latencies.iter().enumerate() {
         let mut row = vec![base.name.clone()];
-        for rows in &measured {
-            row.push(pct(eval::overhead_pct(base.cycles, rows[i].cycles)));
+        for e in &measured {
+            row.push(pct(eval::overhead_pct(base.cycles, e.rows[i].cycles)));
         }
         t.row(row);
     }
     let mut last = vec!["Geometric Mean".to_string()];
-    for rows in &measured {
-        last.push(pct(lab.geomean(rows)));
+    for e in &measured {
+        last.push(pct(lab.geomean(&e.rows)));
     }
     t.row(last);
     t
@@ -486,7 +464,14 @@ fn table7_rows(
             lab.image(&PibeConfig::builder().lax().defenses(d).build())
         };
         let tp = |img: &crate::pipeline::Image| {
-            eval::macro_throughput(&img.module, &lab.kernel, wl, mb, img.sim_config(), lab.seed)
+            eval::macro_throughput(
+                &img.module,
+                &lab.kernel,
+                wl,
+                mb,
+                img.config.sim_config(),
+                lab.seed,
+            )
         };
         let delta = |rps: f64| (rps - vanilla.requests_per_sec) / vanilla.requests_per_sec * 100.0;
         rows.push(vec![

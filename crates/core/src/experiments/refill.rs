@@ -11,7 +11,6 @@
 
 use super::Lab;
 use crate::config::PibeConfig;
-use crate::eval;
 use crate::report::{pct, Table};
 use pibe_harden::{Arch, DefenseSet};
 use pibe_sim::SimConfig;
@@ -33,33 +32,9 @@ pub fn rsb_refill_comparison(lab: &Lab) -> (Table, Vec<BackwardEdgePosture>) {
         "RSB refilling vs return retpolines (6.4): cost and residual Ret2spec surface",
         &["posture", "LMBench overhead", "hijackable returns"],
     );
-    let mut out = Vec::new();
-
-    let mut measure = |name: &str, image: &crate::Image, cfg: SimConfig| {
-        let rows = lab.latencies_with(image, cfg);
-        let overhead = lab.geomean(&rows);
-        let attacks = eval::lmbench_attack_surface(
-            &image.module,
-            &lab.kernel,
-            &lab.workload,
-            &lab.suite,
-            cfg,
-            lab.seed,
-        );
-        table.row(vec![
-            name.to_string(),
-            pct(overhead),
-            attacks.rsb_hijackable_rets.to_string(),
-        ]);
-        out.push(BackwardEdgePosture {
-            overhead_pct: overhead,
-            hijackable_rets: attacks.rsb_hijackable_rets,
-        });
-    };
-
     // RSB refilling and return retpolines are x86 mitigations: every
     // posture runs on an x86 image, whatever the lab's arch.
-    let configs = [
+    let [lto, rr, rr_pibe] = [
         PibeConfig::builder().build(),
         PibeConfig::builder()
             .defenses(DefenseSet::RET_RETPOLINES)
@@ -71,20 +46,35 @@ pub fn rsb_refill_comparison(lab: &Lab) -> (Table, Vec<BackwardEdgePosture>) {
     ]
     .map(|c| c.with_arch(Arch::X86));
     lab.farm()
-        .prefetch(&configs)
+        .prefetch(&[lto, rr, rr_pibe])
         .unwrap_or_else(|e| panic!("prefetch build failed: {e}"));
-    let [lto, rr, rr_pibe] = configs.map(|c| lab.image_for_arch(&c, Arch::X86));
-    measure("no backward-edge defense", &lto, lto.sim_config());
-    measure(
-        "RSB refilling",
-        &lto,
-        SimConfig {
-            rsb_refill: true,
-            ..lto.sim_config()
-        },
-    );
-    measure("return retpolines (unoptimized)", &rr, rr.sim_config());
-    measure("return retpolines + PIBE", &rr_pibe, rr_pibe.sim_config());
+    let postures = [
+        ("no backward-edge defense", lto, lto.sim_config()),
+        (
+            "RSB refilling",
+            lto,
+            SimConfig {
+                rsb_refill: true,
+                ..lto.sim_config()
+            },
+        ),
+        ("return retpolines (unoptimized)", rr, rr.sim_config()),
+        ("return retpolines + PIBE", rr_pibe, rr_pibe.sim_config()),
+    ];
+    let mut out = Vec::new();
+    for (name, config, cfg) in postures {
+        let e = lab.evaluate_for_arch(&config, Arch::X86, cfg);
+        let overhead = lab.geomean(&e.rows);
+        table.row(vec![
+            name.to_string(),
+            pct(overhead),
+            e.attacks.rsb_hijackable_rets.to_string(),
+        ]);
+        out.push(BackwardEdgePosture {
+            overhead_pct: overhead,
+            hijackable_rets: e.attacks.rsb_hijackable_rets,
+        });
+    }
     (table, out)
 }
 

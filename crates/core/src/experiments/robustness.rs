@@ -79,7 +79,7 @@ pub fn robustness(lab: &Lab, requests: u32) -> Result<(Table, RobustnessSummary)
                 .build(),
         )
         .build()?;
-    let apache_rows = lab.latencies(&apache_img);
+    let apache_rows = lab.latencies(&apache_img.module, apache_img.config.sim_config());
     let apache_trained_pct = lab.geomean(&apache_rows);
 
     lab.prefetch(&[

@@ -36,17 +36,8 @@ pub fn spectre_v1_fencing(lab: &Lab) -> (Table, V1Summary) {
     let mut naive = lab.kernel.module.clone();
     let naive_stats = fence_all_conditionals(&mut naive);
 
-    let geomean = |module: &pibe_ir::Module| {
-        let rows = crate::eval::lmbench_latencies(
-            module,
-            &lab.kernel,
-            &lab.workload,
-            &lab.suite,
-            SimConfig::default(),
-            lab.seed,
-        );
-        lab.geomean(&rows)
-    };
+    let geomean =
+        |module: &pibe_ir::Module| lab.geomean(&lab.latencies(module, SimConfig::default()));
     let summary = V1Summary {
         gadgets: gadgets.len() as u64,
         conditional_branches: naive_stats.branches_seen,

@@ -29,7 +29,6 @@ use pibe_passes::{
     InlinerStats, SiteWeights,
 };
 use pibe_profile::{Profile, ProfileRepair};
-use pibe_sim::SimConfig;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::borrow::Cow;
@@ -71,16 +70,6 @@ impl Image {
     /// modified; the pipeline clones it.
     pub fn builder(base: &Module) -> ImageBuilder<'_> {
         ImageBuilder { base }
-    }
-
-    /// The simulator configuration that runs this image as built: its
-    /// defenses, charged by its architecture's backend.
-    pub fn sim_config(&self) -> SimConfig {
-        SimConfig {
-            defenses: self.config.defenses,
-            arch: self.config.arch,
-            ..SimConfig::default()
-        }
     }
 }
 

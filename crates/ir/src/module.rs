@@ -221,6 +221,13 @@ impl Module {
         self.next_site
     }
 
+    /// Raises the next fresh site id to at least `watermark`, so
+    /// [`Module::fresh_site`] never hands out an id below it (a module
+    /// rebuilt from another one's functions keeps their site ids in use).
+    pub fn reserve_sites(&mut self, watermark: u64) {
+        self.next_site = self.next_site.max(watermark);
+    }
+
     /// Allocates a fresh, never-used call-site id.
     pub fn fresh_site(&mut self) -> SiteId {
         self.call_sites.take();

@@ -71,9 +71,7 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
 
     if let Some(max) = max_site {
         // Keep fresh_site collision-free after parsing.
-        while module.peek_next_site() <= max {
-            let _ = module.fresh_site();
-        }
+        module.reserve_sites(max + 1);
     }
     Ok(module)
 }

@@ -11,6 +11,7 @@ use pibe_ir::Module;
 use pibe_profile::Profile;
 use pibe_sim::{AttackReport, ExecStats, SimConfig, SimError, Simulator};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Simulated CPU frequency used to convert cycles to wall-clock analogues
 /// (the paper's testbed is a 3.7 GHz i7-8700K; LMBench reports µs).
@@ -126,7 +127,38 @@ pub fn collect_profile(
     seed: u64,
 ) -> Result<Profile, SimError> {
     let mut merged = Profile::new();
-    for round in 0..rounds {
+    merge_profile_rounds(
+        kernel,
+        workload,
+        suite,
+        &mut merged,
+        0..rounds,
+        seed,
+        |_, _| {},
+    )?;
+    Ok(merged)
+}
+
+/// The round loop behind [`collect_profile`]: runs the suite once per round
+/// index in `rounds` (round `r` simulates under seed `seed ^ r`), merges
+/// each round into `merged` in order, and calls `after_round(r + 1,
+/// &merged)` after round `r`. Merges run in the same order as
+/// `collect_profile`'s, so the profile `after_round` sees after `k` rounds
+/// from an empty start is byte-for-byte `collect_profile(k)`, and
+/// continuing `collect_profile(j)` over `j..k` reaches the same profile.
+///
+/// # Errors
+/// Propagates simulator failures (see [`SimError`]).
+pub fn merge_profile_rounds(
+    kernel: &Kernel,
+    workload: &WorkloadSpec,
+    suite: &[Benchmark],
+    merged: &mut Profile,
+    rounds: Range<u32>,
+    seed: u64,
+    mut after_round: impl FnMut(u32, &Profile),
+) -> Result<(), SimError> {
+    for round in rounds {
         let resolver = workload.resolver(kernel);
         let cfg = SimConfig {
             collect_profile: true,
@@ -140,8 +172,9 @@ pub fn collect_profile(
             }
         }
         merged.merge(&sim.take_profile());
+        after_round(round + 1, merged);
     }
-    Ok(merged)
+    Ok(())
 }
 
 /// Collects a profile of a macro workload (used to train the Apache-profile
@@ -278,5 +311,34 @@ mod tests {
         let p1 = collect_profile(&k, &wl, &suite, 1, 7).unwrap();
         let p2 = collect_profile(&k, &wl, &suite, 2, 7).unwrap();
         assert!(p2.stats().direct_weight > p1.stats().direct_weight);
+    }
+
+    /// The merged profile after `k` rounds is `collect_profile(k)`, whether
+    /// the loop starts empty or continues from an earlier prefix.
+    #[test]
+    fn round_prefixes_equal_fresh_collections() {
+        let k = kernel();
+        let wl = WorkloadSpec::lmbench();
+        let suite = lmbench_suite(4);
+        let mut kept = Vec::new();
+        let mut merged = Profile::new();
+        merge_profile_rounds(&k, &wl, &suite, &mut merged, 0..4, 7, |n, p| {
+            kept.push((n, p.clone()));
+        })
+        .unwrap();
+        assert_eq!(
+            kept.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
+            [1, 2, 3, 4]
+        );
+        for (n, p) in &kept {
+            assert_eq!(
+                *p,
+                collect_profile(&k, &wl, &suite, *n, 7).unwrap(),
+                "{n} rounds"
+            );
+        }
+        let mut resumed = collect_profile(&k, &wl, &suite, 2, 7).unwrap();
+        merge_profile_rounds(&k, &wl, &suite, &mut resumed, 2..4, 7, |_, _| {}).unwrap();
+        assert_eq!(resumed, merged);
     }
 }

@@ -126,6 +126,7 @@ pub fn strip_unreachable_threaded(
 
     // Sweep phase: rebuild with dense new ids, old order preserved.
     let mut stripped = Module::new(module.name().to_string());
+    stripped.reserve_sites(module.peek_next_site());
     let mut forward: Vec<Option<FuncId>> = vec![None; module.len()];
     for f in module.functions() {
         if live[f.id().index()] {
@@ -301,6 +302,20 @@ mod tests {
                 assert_eq!(got_map.translate(old), ref_map.translate(old));
             }
         }
+    }
+
+    /// The stripped module keeps the input's site watermark, so a fresh
+    /// site never reuses an id the surviving functions still call through.
+    #[test]
+    fn dce_keeps_the_site_watermark() {
+        use pibe_kernel::{Kernel, KernelSpec, Syscall};
+        let k = Kernel::generate(KernelSpec::test());
+        let roots: Vec<FuncId> = Syscall::ALL.iter().map(|s| k.entry(*s)).collect();
+        let (mut stripped, _, _) = strip_unreachable(&k.module, &roots, &[]);
+        assert_eq!(stripped.peek_next_site(), k.module.peek_next_site());
+        let fresh = stripped.fresh_site();
+        let table = stripped.call_sites();
+        assert!(!table.has_direct(fresh) && !table.has_indirect(fresh));
     }
 
     #[test]

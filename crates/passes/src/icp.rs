@@ -156,7 +156,10 @@ fn plan(
         }
     }
 
-    // Skip rules allocate no fresh sites.
+    // A cap of 0 leaves selected sites without targets: they promote
+    // nothing, so they are dropped before any owner lookup or fresh-site
+    // numbering. Skip rules allocate no fresh sites either.
+    plans.retain(|(_, targets)| !targets.is_empty());
     let table = module.call_sites();
     let mut next = module.peek_next_site();
     let mut decisions = Vec::with_capacity(plans.len());
@@ -401,6 +404,28 @@ mod tests {
         assert_eq!(stats.candidate_targets, 2);
         assert_eq!(stats.promoted_targets, 2);
         assert_eq!(stats.promoted_weight, 990);
+    }
+
+    #[test]
+    fn a_cap_of_zero_promotes_nothing() {
+        let (mut m, p, _site, _root, _targets) = module(&[500, 300, 200]);
+        let before = m.clone();
+        let mut w = SiteWeights::new();
+        let stats = promote_indirect_calls(
+            &mut m,
+            &mut w,
+            &p,
+            &IcpConfig {
+                budget: Budget::new(100.0).unwrap(),
+                max_targets_per_site: Some(0),
+            },
+        );
+        assert_eq!(stats.promoted_sites, 0);
+        assert_eq!(stats.promoted_targets, 0);
+        assert_eq!(stats.skipped_sites, 0);
+        assert_eq!(w.iter().count(), 0);
+        assert_eq!(m.peek_next_site(), before.peek_next_site());
+        assert_eq!(m.to_string(), before.to_string());
     }
 
     #[test]

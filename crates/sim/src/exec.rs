@@ -90,7 +90,7 @@ impl TargetResolver for MapResolver {
 /// chains; multi-target sites are "periodically put in a learning state, in
 /// which case the call is reconverted into a retpoline that relearns
 /// targets" (§8.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct JumpSwitchConfig {
     /// Maximum promoted targets per site.
     pub max_slots: usize,
@@ -167,8 +167,9 @@ pub enum TraceEvent {
     Return(FuncId),
 }
 
-/// Simulator configuration.
-#[derive(Debug, Clone, Copy)]
+/// Simulator configuration. Every field is an integer or a flag, so a
+/// configuration is a hashable key (the lab memoizes evaluations by it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     /// Machine cost/capacity parameters.
     pub machine: MachineConfig,
@@ -299,6 +300,45 @@ impl ExecStats {
     /// workload's base compute plus (predicted) control transfer costs.
     pub fn cycles_base(&self) -> u64 {
         self.cycles - self.cycles_defense - self.cycles_prediction - self.cycles_locality
+    }
+
+    /// Adds `other`'s counters into `self` (the totals of two runs); the
+    /// peak stack is the larger of the two peaks.
+    pub fn merge(&mut self, other: &ExecStats) {
+        let ExecStats {
+            cycles,
+            insts,
+            ops,
+            dcalls,
+            icalls,
+            ijumps,
+            rets,
+            btb_misses,
+            rsb_misses,
+            icache_misses,
+            l2_misses,
+            peak_stack_bytes,
+            jumpswitch_learn_cycles,
+            cycles_defense,
+            cycles_prediction,
+            cycles_locality,
+        } = *other;
+        self.cycles += cycles;
+        self.insts += insts;
+        self.ops += ops;
+        self.dcalls += dcalls;
+        self.icalls += icalls;
+        self.ijumps += ijumps;
+        self.rets += rets;
+        self.btb_misses += btb_misses;
+        self.rsb_misses += rsb_misses;
+        self.icache_misses += icache_misses;
+        self.l2_misses += l2_misses;
+        self.peak_stack_bytes = self.peak_stack_bytes.max(peak_stack_bytes);
+        self.jumpswitch_learn_cycles += jumpswitch_learn_cycles;
+        self.cycles_defense += cycles_defense;
+        self.cycles_prediction += cycles_prediction;
+        self.cycles_locality += cycles_locality;
     }
 }
 

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Defaults approximate the paper's i7-8700K (Skylake): 32 KiB 8-way L1i
 /// with 64-byte lines, a 4096-entry BTB, and a 16-entry RSB (§2.2:
 /// "typically N = 16").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MachineConfig {
     /// Cycles for ALU/mov/cmp/store class ops.
     pub cycles_simple: u64,

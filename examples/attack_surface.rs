@@ -13,7 +13,7 @@
 //! ```
 
 use pibe::experiments::Lab;
-use pibe::{eval, PibeConfig};
+use pibe::PibeConfig;
 use pibe_harden::DefenseSet;
 use pibe_kernel::KernelSpec;
 use pibe_sim::SimConfig;
@@ -37,18 +37,7 @@ fn main() {
     ];
 
     for (name, config) in postures {
-        let image = lab.image(&config);
-        let report = eval::lmbench_attack_surface(
-            &image.module,
-            &lab.kernel,
-            &lab.workload,
-            &lab.suite,
-            SimConfig {
-                defenses: config.defenses,
-                ..SimConfig::default()
-            },
-            lab.seed,
-        );
+        let report = lab.measure(&config).attacks;
         println!(
             "{:>26} | {:>12} | {:>12} | {:>12} | {:>12}",
             name,
@@ -62,18 +51,15 @@ fn main() {
     // The kernel's ad-hoc alternative for backward edges: RSB refilling
     // (§6.4). It blocks userspace-to-kernel poisoning but stops helping
     // once a deep call chain overflows the RSB — unlike return retpolines.
-    let lto = lab.image(&PibeConfig::lto());
-    let refill_report = eval::lmbench_attack_surface(
-        &lto.module,
-        &lab.kernel,
-        &lab.workload,
-        &lab.suite,
-        SimConfig {
-            rsb_refill: true,
-            ..SimConfig::default()
-        },
-        lab.seed,
-    );
+    let refill_report = lab
+        .evaluate(
+            &PibeConfig::lto(),
+            SimConfig {
+                rsb_refill: true,
+                ..SimConfig::default()
+            },
+        )
+        .attacks;
     println!(
         "{:>26} | {:>12} | {:>12} | {:>12} | {:>12}",
         "RSB refilling only",

@@ -39,18 +39,18 @@ fn main() {
         lab.profile.stats().indirect_sites
     );
 
-    let unopt = lab.image(&PibeConfig::lto_with(DefenseSet::ALL));
+    let unopt = PibeConfig::lto_with(DefenseSet::ALL);
     let pibe = lab.image(&PibeConfig::lax(DefenseSet::ALL));
 
-    let unopt_rows = lab.latencies(&unopt);
-    let pibe_rows = lab.latencies(&pibe);
+    let unopt_rows = &lab.measure(&unopt).rows;
+    let pibe_rows = &lab.measure(&pibe.config).rows;
 
     println!(
         "{:>14} | {:>10} | {:>12} | {:>10}",
         "benchmark", "LTO (us)", "all-def (us)", "PIBE (us)"
     );
     println!("{}", "-".repeat(58));
-    for ((base, u), p) in lab.lto_latencies.iter().zip(&unopt_rows).zip(&pibe_rows) {
+    for ((base, u), p) in lab.lto_latencies.iter().zip(unopt_rows).zip(pibe_rows) {
         println!(
             "{:>14} | {:>10.2} | {:>12.2} | {:>10.2}",
             base.name, base.micros, u.micros, p.micros
@@ -59,8 +59,8 @@ fn main() {
     println!("{}", "-".repeat(58));
     println!(
         "geomean overhead vs LTO:  all defenses {:+.1}%   PIBE + all defenses {:+.1}%",
-        lab.geomean(&unopt_rows),
-        lab.geomean(&pibe_rows)
+        lab.geomean(unopt_rows),
+        lab.geomean(pibe_rows)
     );
 
     let inl = pibe.inline_stats.expect("inliner ran");

@@ -5,8 +5,8 @@
 //! Each claim is one named test, so a regenerated golden that breaks a
 //! claim names the claim rather than a cell. Table 3's ICP budget order is
 //! left out: it is a recorded open divergence (EXPERIMENTS.md). Tables 4,
-//! 9, 11 and 12 come from pass statistics, the audit and the size model,
-//! so their claims do not depend on the simulated code layout.
+//! 8, 9, 10, 11 and 12 come from pass statistics, the audit and the size
+//! model, so their claims do not depend on the simulated code layout.
 
 use pibe::report::Table;
 
@@ -23,9 +23,8 @@ fn table(key: &str) -> Table {
     serde_json::from_str(&json).unwrap_or_else(|e| panic!("table {key}: {e}"))
 }
 
-/// The leading number of the cell at row `label` (first column) and
-/// column `header`: `132.5` in `"132.5%"`, `1521` in `"1521 (0.0%)"`.
-fn num(t: &Table, label: &str, header: &str) -> f64 {
+/// The cell at row `label` (first column) and column `header`.
+fn cell<'t>(t: &'t Table, label: &str, header: &str) -> &'t str {
     let col = t
         .headers
         .iter()
@@ -36,11 +35,26 @@ fn num(t: &Table, label: &str, header: &str) -> f64 {
         .iter()
         .find(|r| r[0] == label)
         .unwrap_or_else(|| panic!("{}: no row {label:?}", t.title));
-    let cell = &row[col];
+    &row[col]
+}
+
+/// The leading number of a cell: `132.5` in `"132.5%"`, `1521` in
+/// `"1521 (0.0%)"`.
+fn num(t: &Table, label: &str, header: &str) -> f64 {
+    let cell = cell(t, label, header);
     let lead = cell.split(' ').next().unwrap_or_default();
     lead.trim_end_matches('%')
         .parse()
         .unwrap_or_else(|_| panic!("{}: {label}/{header} is not a number: {cell:?}", t.title))
+}
+
+/// The parenthesised percentage of a cell: `98.3` in `"532908 (98.3%)"`.
+fn share(t: &Table, label: &str, header: &str) -> f64 {
+    let cell = cell(t, label, header);
+    cell.split_once('(')
+        .and_then(|(_, rest)| rest.strip_suffix("%)"))
+        .and_then(|pct| pct.parse().ok())
+        .unwrap_or_else(|| panic!("{}: {label}/{header} has no share: {cell:?}", t.title))
 }
 
 /// Table 4: most indirect call sites invoke one target, and the count
@@ -60,6 +74,46 @@ fn table9_rule3_blocks_more_weight_than_rule2_at_every_budget() {
     for budget in t.rows.iter().map(|r| &r[0]) {
         let (rule2, rule3) = (num(&t, budget, "Rule 2"), num(&t, budget, "Rule 3"));
         assert!(rule3 > rule2, "{budget}: Rule 3 {rule3} <= Rule 2 {rule2}");
+    }
+}
+
+/// Table 8: ICP elides at least 98% of the indirect-call weight at every
+/// budget, and a larger budget promotes more call sites.
+#[test]
+fn table8_icp_elides_98_percent_of_icall_weight_and_sites_grow_with_the_budget() {
+    let t = table("8");
+    let budgets: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
+    for budget in &budgets {
+        let elided = share(&t, budget, "icall weight");
+        assert!(elided >= 98.0, "{budget}: ICP elides {elided}% < 98%");
+    }
+    let sites: Vec<f64> = budgets.iter().map(|b| num(&t, b, "call sites")).collect();
+    assert!(
+        sites.is_sorted_by(|a, b| a < b),
+        "promoted sites {sites:?} do not grow over {budgets:?}"
+    );
+}
+
+/// Table 10: optimization candidates are under 10% of all kernel indirect
+/// branches, and grow with the budget for both ICP and inlining.
+#[test]
+fn table10_candidates_stay_under_10_percent_and_grow_with_the_budget() {
+    let t = table("10");
+    for pass in ["icp", "inl"] {
+        let headers: Vec<&String> = t.headers[1..]
+            .iter()
+            .filter(|h| h.starts_with(pass))
+            .collect();
+        assert_eq!(headers.len(), 3, "{pass}: three budgets");
+        let shares: Vec<f64> = headers.iter().map(|h| num(&t, "Candidates", h)).collect();
+        assert!(
+            shares.iter().all(|&c| c < 10.0),
+            "{pass}: candidates {shares:?} reach 10%"
+        );
+        assert!(
+            shares.is_sorted_by(|a, b| a < b),
+            "{pass}: candidates {shares:?} do not grow with the budget"
+        );
     }
 }
 

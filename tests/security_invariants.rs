@@ -31,17 +31,19 @@ fn build(kernel: &Kernel, profile: &Profile, config: PibeConfig) -> Image {
 }
 
 fn surface(kernel: &Kernel, image: &pibe::Image) -> pibe_sim::AttackReport {
-    eval::lmbench_attack_surface(
+    eval::lmbench_evaluation(
         &image.module,
         kernel,
         &WorkloadSpec::lmbench(),
         &lmbench_suite(6),
         SimConfig {
             defenses: image.config.defenses,
+            track_attacks: true,
             ..SimConfig::default()
         },
         0xBA5E,
     )
+    .attacks
 }
 
 /// Fully hardened kernels expose no hijackable branch executions except

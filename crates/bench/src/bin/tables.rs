@@ -291,9 +291,10 @@ fn finish_trace(args: &Args) {
     }
 }
 
-/// Summarises the lab's image-farm activity: cache effectiveness, the
-/// evaluation memo's requests and simulated suite runs, and the wall-clock
-/// cost of each pipeline stage summed over every build.
+/// Summarises the lab's image-farm activity: cache effectiveness, how many
+/// ICP → inline → DCE prefixes its images shared, the evaluation memo's
+/// requests and simulated suite runs, and the wall-clock cost of each
+/// pipeline stage summed over every build (each prefix counted once).
 fn build_report(lab: &Lab) -> Table {
     let stats = lab.farm().stats();
     let metrics = lab.build_metrics();
@@ -309,6 +310,13 @@ fn build_report(lab: &Lab) -> Table {
     t.row(vec!["image requests".into(), stats.requests.to_string()]);
     t.row(vec!["pipeline builds".into(), stats.builds.to_string()]);
     t.row(vec!["cache hits".into(), stats.hits.to_string()]);
+    t.row(vec![
+        "shared optimizations".into(),
+        format!(
+            "{} optimizations for {} images",
+            stats.optimizations, stats.builds
+        ),
+    ]);
     let evals = lab.eval_stats();
     t.row(vec![
         "evaluations requested".into(),

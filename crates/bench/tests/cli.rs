@@ -74,3 +74,25 @@ fn kernel_free_tables_skip_the_lab() {
         assert!(stderr.contains(&format!("[table {key} in ")), "{stderr}");
     }
 }
+
+/// The build report says how many optimized prefixes the farm's images
+/// shared: Table 12's 13 images (LTO and four optimization levels, each
+/// under several defense sets) lower from 5 ICP → inline → DCE prefixes.
+#[test]
+fn build_report_counts_shared_optimizations() {
+    let out = tables(&[
+        "--scale", "0.02", "--iters", "4", "--rounds", "1", "--only", "12",
+    ]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let stdout = text(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.contains("shared optimizations"))
+        .unwrap_or_else(|| panic!("no optimization count in the build report: {stdout}"));
+    let counts: Vec<u64> = line
+        .split_whitespace()
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    assert_eq!(counts, [5, 13], "{line}");
+    assert!(line.ends_with("5 optimizations for 13 images"), "{line}");
+}

@@ -129,10 +129,32 @@ impl PibeConfig {
         self.icp.is_some() || self.inliner.is_some()
     }
 
+    /// The part of the configuration the optimization passes read: ICP,
+    /// the inliner and DCE, without the arch or the defenses. Every
+    /// configuration with the same optimization runs the same ICP → inline
+    /// → DCE prefix, which is why the farm memoizes prefixes on this key.
+    pub(crate) fn optimization(&self) -> Optimization {
+        Optimization {
+            icp: self.icp,
+            inliner: self.inliner,
+            dce: self.dce,
+        }
+    }
+
     /// The defense backend selected by [`PibeConfig::arch`].
     pub fn backend(&self) -> &'static dyn pibe_harden::DefenseBackend {
         self.arch.backend()
     }
+}
+
+/// The arch- and defense-agnostic half of a [`PibeConfig`]: everything the
+/// ICP, inlining and DCE stages may read (see
+/// [`PibeConfig::optimization`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Optimization {
+    pub(crate) icp: Option<IcpConfig>,
+    pub(crate) inliner: Option<InlinerConfig>,
+    pub(crate) dce: bool,
 }
 
 /// Fluent builder for [`PibeConfig`], starting from the LTO baseline.

@@ -163,7 +163,9 @@ pub const PREFIX_ROUNDS: [u32; 4] = [1, 2, 4, 8];
 impl Lab {
     /// Builds a lab: generates the kernel, collects the aggregated LMBench
     /// profile (`rounds` runs, 11 in the paper, keeping the profiles after
-    /// [`PREFIX_ROUNDS`] on the way), and measures the LTO baseline.
+    /// [`PREFIX_ROUNDS`] on the way), and measures the LTO baseline. On an
+    /// x86 lab that measurement is also the memoized record of the LTO
+    /// image, so measuring [`PibeConfig::lto`] later simulates nothing.
     ///
     /// # Errors
     /// [`ExperimentError::Profiling`] naming the workload and seed when the
@@ -203,16 +205,36 @@ impl Lab {
             source,
         })?;
         drop(profile_span);
+        // The baseline runs tracked, like every memoized record, so it can
+        // answer the farm LTO image's own measurement (below) as well.
+        let baseline_cfg = SimConfig {
+            track_attacks: true,
+            ..SimConfig::default()
+        };
         let baseline_span = pibe_trace::span("lab.baseline");
-        let lto_latencies = eval::lmbench_latencies(
+        let baseline = eval::lmbench_evaluation(
             &kernel.module,
             &kernel,
             &workload,
             &suite,
-            SimConfig::default(),
+            baseline_cfg,
             seed,
         );
         drop(baseline_span);
+        let lto_latencies = baseline.rows.clone();
+        let arch = Arch::from_env();
+        // The LTO image is the unmodified base, so where its own simulator
+        // configuration is the baseline's (an x86 lab) its measurement is
+        // the baseline: seed the memo with it.
+        let lto = PibeConfig::lto().with_arch(arch);
+        let mut evals: HashMap<(PibeConfig, SimConfig), EvalSlot> = HashMap::new();
+        let lto_cfg = SimConfig {
+            track_attacks: true,
+            ..lto.sim_config()
+        };
+        if lto_cfg == baseline_cfg {
+            evals.insert((lto, lto_cfg), Arc::new(OnceLock::from(Arc::new(baseline))));
+        }
         let farm =
             ImageFarm::with_shared(Arc::new(kernel.module.clone()), Arc::new(profile.clone()));
         Ok(Lab {
@@ -223,10 +245,10 @@ impl Lab {
             rounds,
             lto_latencies,
             seed,
-            arch: Arch::from_env(),
+            arch,
             prefixes,
             farm,
-            evals: Mutex::new(HashMap::new()),
+            evals: Mutex::new(evals),
             eval_requests: AtomicU64::new(0),
             eval_runs: AtomicU64::new(0),
         })
@@ -506,11 +528,14 @@ mod tests {
             assert_eq!(first.rows, untracked.rows, "{cfg:?}");
             assert_eq!(first.stats, untracked.stats, "{cfg:?}");
         }
+        // An x86 lab's LTO record is its baseline run, simulated by
+        // `Lab::new` and not counted here.
+        let simulated = if lab.arch == Arch::X86 { 4 } else { 5 };
         assert_eq!(
             lab.eval_stats(),
             EvalStats {
                 requests: 10,
-                simulated: 5
+                simulated
             }
         );
         // `measure` and `run_config` read the same records.
@@ -520,7 +545,7 @@ mod tests {
             &lab.evaluate(&lax_all, own(&lax_all))
         ));
         assert_eq!(geo, lab.geomean(&lab.measure(&lax_all).rows));
-        assert_eq!(lab.eval_stats().simulated, 5);
+        assert_eq!(lab.eval_stats().simulated, simulated);
     }
 
     /// An image built outside the farm is measured on its own module even
@@ -577,6 +602,25 @@ mod tests {
             None,
             "no prefix above the lab's rounds"
         );
+    }
+
+    #[test]
+    fn the_lto_baseline_is_the_lto_images_record() {
+        let lab = Lab::test();
+        if lab.arch != Arch::X86 {
+            // The baseline runs at x86; another arch's LTO image is
+            // simulated under its own backend.
+            return;
+        }
+        let simulated = lab.eval_stats().simulated;
+        let lto = lab.measure(&PibeConfig::lto());
+        assert_eq!(lab.eval_stats().simulated, simulated, "no second run");
+        assert_eq!(lto.rows, lab.lto_latencies);
+        let cfg = SimConfig {
+            track_attacks: true,
+            ..PibeConfig::lto().sim_config()
+        };
+        assert_eq!(*lto, fresh(&lab, &PibeConfig::lto(), cfg));
     }
 
     #[test]

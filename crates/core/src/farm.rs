@@ -2,25 +2,70 @@
 //! `(Module, Profile)` pair and serves built [`Image`]s for any set of
 //! [`PibeConfig`]s.
 //!
-//! Every distinct configuration is built **exactly once** per farm — builds
-//! are content-keyed by the full configuration (`PibeConfig: Eq + Hash`)
-//! and memoized behind `Arc`s, so repeated requests share one image.
-//! [`ImageFarm::images`] fans pending builds across a scoped worker pool;
-//! the paper's experiment tables request overlapping configuration sets, so
-//! the farm turns the former rebuild-per-table cost into one build per
-//! distinct configuration per lab.
+//! The farm keeps two memos, each filled exactly once per key and shared
+//! behind `Arc`s:
+//!
+//! * **optimized prefixes**, keyed by [`PibeConfig::optimization`] (ICP,
+//!   inliner, DCE): the module after the arch-agnostic ICP → inline → DCE
+//!   stages. The key leaves out the arch and the defenses because those
+//!   stages never read them, so every configuration that differs only in
+//!   how it is hardened shares one prefix;
+//! * **images**, keyed by the full configuration: a clone of the prefix
+//!   lowered (hardened, audited, sized) for one arch and defense set. The
+//!   clone is cheap — functions are `Arc`s and hardening rewrites only
+//!   functions with jump tables — so images lowered from one prefix share
+//!   nearly every function body.
+//!
+//! [`ImageFarm::images`] fans pending work across a scoped worker pool in
+//! two phases, first the missing prefixes and then the lowerings, so no
+//! worker waits on a prefix another worker is building. The paper's
+//! experiment tables request overlapping configuration sets, so the farm
+//! turns the former rebuild-per-table cost into one optimization per
+//! distinct key and one lowering per distinct configuration per lab.
 
-use crate::config::PibeConfig;
-use crate::pipeline::{BuildMetrics, Image, PipelineError};
+use crate::config::{Optimization, PibeConfig};
+use crate::pipeline::{BuildMetrics, Image, Optimized, PipelineError, ProfiledImageBuilder};
 use pibe_ir::Module;
 use pibe_profile::Profile;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// One build slot: filled exactly once, shared by every requester.
-type Slot = Arc<OnceLock<Result<Arc<Image>, PipelineError>>>;
+/// One memo slot: filled exactly once, shared by every requester.
+type Slot<T> = Arc<OnceLock<Result<Arc<T>, PipelineError>>>;
+
+/// A content-keyed map of memo slots.
+#[derive(Debug)]
+struct Memo<K, T>(Mutex<HashMap<K, Slot<T>>>);
+
+impl<K: Copy + Eq + Hash, T> Memo<K, T> {
+    fn new() -> Self {
+        Memo(Mutex::new(HashMap::new()))
+    }
+
+    /// Locks the slot map. The lock is never held across a build, and every
+    /// critical section leaves the map consistent, so a poisoned lock is
+    /// used as is.
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, Slot<T>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The slot for `key`, creating an empty one under the lock.
+    fn slot(&self, key: &K) -> Slot<T> {
+        self.lock().entry(*key).or_default().clone()
+    }
+
+    /// Every slot's value that is filled and not a failure.
+    fn built(&self) -> Vec<Arc<T>> {
+        let slots: Vec<Slot<T>> = self.lock().values().cloned().collect();
+        slots
+            .iter()
+            .filter_map(|slot| slot.get()?.as_ref().ok().cloned())
+            .collect()
+    }
+}
 
 /// Counters describing how much work a farm has done and saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,11 +73,14 @@ pub struct FarmStats {
     /// Image requests served (via [`ImageFarm::image`] or
     /// [`ImageFarm::images`]).
     pub requests: u64,
-    /// Pipeline executions — at most one per distinct configuration.
+    /// Images lowered — at most one per distinct configuration.
     pub builds: u64,
     /// Requests served from an already-built image
     /// (`requests - builds`).
     pub hits: u64,
+    /// ICP → inline → DCE prefixes run — at most one per distinct
+    /// optimization key, however many arches and defense sets lower it.
+    pub optimizations: u64,
     /// Distinct configurations currently cached.
     pub cached: usize,
     /// Cached configurations whose build failed (including contained
@@ -49,9 +97,11 @@ pub struct FarmStats {
 pub struct ImageFarm {
     base: Arc<Module>,
     profile: Arc<Profile>,
-    cache: Mutex<HashMap<PibeConfig, Slot>>,
+    images: Memo<PibeConfig, Image>,
+    prefixes: Memo<Optimization, Optimized>,
     requests: AtomicU64,
     builds: AtomicU64,
+    optimizations: AtomicU64,
     threads: usize,
 }
 
@@ -67,9 +117,11 @@ impl ImageFarm {
         ImageFarm {
             base,
             profile,
-            cache: Mutex::new(HashMap::new()),
+            images: Memo::new(),
+            prefixes: Memo::new(),
             requests: AtomicU64::new(0),
             builds: AtomicU64::new(0),
+            optimizations: AtomicU64::new(0),
             threads: pibe_ir::par::default_threads(),
         }
     }
@@ -88,45 +140,63 @@ impl ImageFarm {
         self.threads
     }
 
-    /// Locks the slot map. The lock is never held across a build, and every
-    /// critical section leaves the map consistent, so a poisoned lock is
-    /// used as is.
-    fn cache(&self) -> MutexGuard<'_, HashMap<PibeConfig, Slot>> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    /// A builder for `config` over the farm's inputs. With a multi-build
+    /// worker pool the pool owns the machine: each build runs its
+    /// per-function stages on one thread so a farm of N workers doesn't fan
+    /// out into N * threads workers. A single-worker farm lets the stages
+    /// use the full default.
+    fn builder(&self, config: &PibeConfig) -> ProfiledImageBuilder<'_, '_> {
+        let stage_threads = if self.threads > 1 {
+            1
+        } else {
+            pibe_ir::par::default_threads()
+        };
+        Image::builder(&self.base)
+            .profile(&self.profile)
+            .config(*config)
+            .threads(stage_threads)
     }
 
-    /// The slot for `config`, creating an empty one under the cache lock.
-    fn slot(&self, config: &PibeConfig) -> Slot {
-        let mut cache = self.cache();
-        cache
-            .entry(*config)
-            .or_insert_with(|| Arc::new(OnceLock::new()))
-            .clone()
+    /// The optimized prefix for `config`'s optimization key, run on the
+    /// first request under [`contain`] and shared afterwards; a failed or
+    /// panicked prefix is cached and fails every image of its key. The flag
+    /// is true when this call found the prefix already memoized.
+    fn optimized(&self, config: &PibeConfig) -> (Result<Arc<Optimized>, PipelineError>, bool) {
+        let slot = self.prefixes.slot(&config.optimization());
+        let _span = pibe_trace::span_args("farm.optimize", || {
+            vec![("hit", pibe_trace::Value::from(slot.get().is_some()))]
+        });
+        let mut ran = false;
+        let prefix = slot
+            .get_or_init(|| {
+                ran = true;
+                self.optimizations.fetch_add(1, Ordering::Relaxed);
+                contain(|| self.builder(config).optimize().map(Arc::new))
+            })
+            .clone();
+        (prefix, !ran)
     }
 
     /// Builds or retrieves the image for `config` without touching the
-    /// request counter. `OnceLock::get_or_init` guarantees the pipeline
-    /// runs exactly once per distinct configuration even under concurrent
-    /// callers (losers of the race block, then share the winner's image).
+    /// request counter. `OnceLock::get_or_init` guarantees each image is
+    /// lowered exactly once per distinct configuration even under
+    /// concurrent callers (losers of the race block, then share the
+    /// winner's image).
     ///
-    /// The build runs under [`contain`]: a pass that panics is cached in
+    /// `queued_at` is when the configuration entered a batch's pending
+    /// list, so the build span records how long it waited for a worker
+    /// (visible per-track in the exported trace).
+    ///
+    /// The lowering runs under [`contain`]: a pass that panics is cached in
     /// this slot as [`PipelineError::StagePanicked`] instead of tearing
     /// down the worker pool, so one poisoned configuration cannot take a
     /// whole batch of experiments with it.
-    fn fetch(&self, config: &PibeConfig) -> Result<Arc<Image>, PipelineError> {
-        self.fetch_queued(config, None)
-    }
-
-    /// [`ImageFarm::fetch`] with queue-wait attribution: `queued_at` is when
-    /// the configuration entered a batch's pending list, so the build span
-    /// records how long it waited for a worker (visible per-track in the
-    /// exported trace).
-    fn fetch_queued(
+    fn fetch(
         &self,
         config: &PibeConfig,
         queued_at: Option<Instant>,
     ) -> Result<Arc<Image>, PipelineError> {
-        let slot = self.slot(config);
+        let slot = self.images.slot(config);
         if let Some(cached) = slot.get() {
             pibe_trace::event("farm.cache_hit");
             return cached.clone();
@@ -148,25 +218,36 @@ impl ImageFarm {
                 }
                 args
             });
-            // With a multi-build worker pool the pool owns the machine:
-            // each build runs its per-function stages on one thread so a
-            // farm of N workers doesn't fan out into N * threads workers.
-            // A single-worker farm lets the stages use the full default.
-            let stage_threads = if self.threads > 1 {
-                1
-            } else {
-                pibe_ir::par::default_threads()
+            let (prefix, hit) = self.optimized(config);
+            let prefix = prefix?;
+            // The prefix's own timings are reported once, by
+            // `aggregate_metrics`; the image carries its lowering's.
+            let optimized = Optimized {
+                metrics: BuildMetrics::default(),
+                ..Optimized::clone(&prefix)
             };
-            contain(|| {
-                Image::builder(&self.base)
-                    .profile(&self.profile)
-                    .config(*config)
-                    .threads(stage_threads)
-                    .build()
-                    .map(Arc::new)
-            })
+            let image = contain(|| self.builder(config).lower(optimized).map(Arc::new));
+            debug_assert!(
+                !hit || self.matches_cold_build(config, &image),
+                "the image of {config:?} lowered from a memoized prefix must match a cold build"
+            );
+            image
         })
         .clone()
+    }
+
+    /// Whether `image` equals a cold, unmemoized build of `config` (the
+    /// debug-build oracle for images lowered from a shared prefix).
+    fn matches_cold_build(
+        &self,
+        config: &PibeConfig,
+        image: &Result<Arc<Image>, PipelineError>,
+    ) -> bool {
+        match (image, contain(|| self.builder(config).build())) {
+            (Ok(image), Ok(cold)) => image.same_output(&cold),
+            (Err(e), Err(cold)) => *e == cold,
+            _ => false,
+        }
     }
 
     /// The image for `config`: built on first request, shared afterwards.
@@ -176,11 +257,12 @@ impl ImageFarm {
     /// so a broken configuration is not retried.
     pub fn image(&self, config: &PibeConfig) -> Result<Arc<Image>, PipelineError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        self.fetch(config)
+        self.fetch(config, None)
     }
 
     /// Images for every configuration in `configs` (in input order),
-    /// fanning not-yet-built configurations across the worker pool.
+    /// fanning not-yet-built configurations across the worker pool: first
+    /// one optimization per missing prefix key, then every lowering.
     /// Duplicate entries are deduplicated before scheduling and resolve to
     /// the same `Arc`'d image.
     ///
@@ -190,12 +272,20 @@ impl ImageFarm {
         self.requests
             .fetch_add(configs.len() as u64, Ordering::Relaxed);
 
-        // Dedup in first-seen order; skip configurations already built.
+        // Dedup in first-seen order; skip configurations already built,
+        // then pick one configuration per prefix key not yet optimized.
         let mut seen = HashSet::new();
         let pending: Vec<PibeConfig> = configs
             .iter()
             .filter(|c| seen.insert(**c))
-            .filter(|c| self.slot(c).get().is_none())
+            .filter(|c| self.images.slot(c).get().is_none())
+            .copied()
+            .collect();
+        let mut keys = HashSet::new();
+        let cold: Vec<PibeConfig> = pending
+            .iter()
+            .filter(|c| keys.insert(c.optimization()))
+            .filter(|c| self.prefixes.slot(&c.optimization()).get().is_none())
             .copied()
             .collect();
 
@@ -203,34 +293,42 @@ impl ImageFarm {
             vec![
                 ("requested", pibe_trace::Value::from(configs.len())),
                 ("pending", pibe_trace::Value::from(pending.len())),
+                ("optimizations", pibe_trace::Value::from(cold.len())),
             ]
         });
         let queued_at = Instant::now();
-        let workers = self.threads.min(pending.len());
-        if workers > 1 {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let (next, pending) = (&next, &pending);
-                for w in 0..workers {
-                    scope.spawn(move || {
-                        pibe_trace::set_track_name(format!("worker-{w}"));
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(config) = pending.get(i) else { break };
-                            // Errors are cached in the slot and re-surface
-                            // in the ordered collection below.
-                            let _ = self.fetch_queued(config, Some(queued_at));
-                        }
-                    });
-                }
-            });
-        } else {
-            for config in &pending {
-                let _ = self.fetch_queued(config, Some(queued_at));
-            }
-        }
+        // Errors are cached in the slots and re-surface in the ordered
+        // collection below.
+        self.fan_out(&cold, |config| {
+            let _ = self.optimized(config);
+        });
+        self.fan_out(&pending, |config| {
+            let _ = self.fetch(config, Some(queued_at));
+        });
 
-        configs.iter().map(|c| self.fetch(c)).collect()
+        configs.iter().map(|c| self.fetch(c, None)).collect()
+    }
+
+    /// Runs `work` on every configuration in `configs` across the worker
+    /// pool (inline when one worker suffices).
+    fn fan_out(&self, configs: &[PibeConfig], work: impl Fn(&PibeConfig) + Sync) {
+        let workers = self.threads.min(configs.len());
+        if workers <= 1 {
+            configs.iter().for_each(work);
+            return;
+        }
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let (next, work) = (&next, &work);
+                scope.spawn(move || {
+                    pibe_trace::set_track_name(format!("worker-{w}"));
+                    while let Some(config) = configs.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        work(config);
+                    }
+                });
+            }
+        });
     }
 
     /// Builds (in parallel) and caches every configuration, discarding the
@@ -247,8 +345,8 @@ impl ImageFarm {
     pub fn stats(&self) -> FarmStats {
         let requests = self.requests.load(Ordering::Relaxed);
         let builds = self.builds.load(Ordering::Relaxed);
-        let cache = self.cache();
-        let failed = cache
+        let images = self.images.lock();
+        let failed = images
             .values()
             .filter(|slot| matches!(slot.get(), Some(Err(_))))
             .count();
@@ -256,19 +354,22 @@ impl ImageFarm {
             requests,
             builds,
             hits: requests.saturating_sub(builds),
-            cached: cache.len(),
+            optimizations: self.optimizations.load(Ordering::Relaxed),
+            cached: images.len(),
             failed,
         }
     }
 
-    /// Sums the per-stage build timings of every successfully built image.
+    /// Sums the per-stage build timings of everything the farm ran: each
+    /// successful prefix's optimization once, plus each successfully built
+    /// image's lowering.
     pub fn aggregate_metrics(&self) -> BuildMetrics {
-        let slots: Vec<Slot> = self.cache().values().cloned().collect();
         let mut agg = BuildMetrics::default();
-        for slot in slots {
-            if let Some(Ok(image)) = slot.get() {
-                agg.accumulate(&image.metrics);
-            }
+        for prefix in self.prefixes.built() {
+            agg.accumulate(&prefix.metrics);
+        }
+        for image in self.images.built() {
+            agg.accumulate(&image.metrics);
         }
         agg
     }
@@ -276,9 +377,7 @@ impl ImageFarm {
 
 /// Runs `build`, turning a panic into [`PipelineError::StagePanicked`]
 /// (see [`PipelineError::from_panic`]).
-fn contain(
-    build: impl FnOnce() -> Result<Arc<Image>, PipelineError>,
-) -> Result<Arc<Image>, PipelineError> {
+fn contain<T>(build: impl FnOnce() -> Result<T, PipelineError>) -> Result<T, PipelineError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(build))
         .unwrap_or_else(|payload| Err(PipelineError::from_panic(payload)))
 }
@@ -326,6 +425,11 @@ mod tests {
         assert_eq!(images.len(), matrix.len());
         assert!(Arc::ptr_eq(&images[0], &images[3]), "duplicates share");
         assert_eq!(farm.stats().builds, 4, "4 distinct configs");
+        assert_eq!(
+            farm.stats().optimizations,
+            3,
+            "lto and lto+all share the unoptimized prefix"
+        );
 
         // A second pass over the same matrix builds nothing new.
         farm.images(&matrix).expect("all cached");
@@ -349,15 +453,15 @@ mod tests {
         let panicked = |message: &str| PipelineError::StagePanicked {
             message: message.into(),
         };
-        let err = contain(|| panic!("static message")).unwrap_err();
+        let err = contain::<()>(|| panic!("static message")).unwrap_err();
         assert_eq!(err, panicked("static message"));
         let site = 7;
-        let err = contain(|| panic!("dangling target at site {site}")).unwrap_err();
+        let err = contain::<()>(|| panic!("dangling target at site {site}")).unwrap_err();
         assert_eq!(err, panicked("dangling target at site 7"));
-        let err = contain(|| std::panic::panic_any(7u32)).unwrap_err();
+        let err = contain::<()>(|| std::panic::panic_any(7u32)).unwrap_err();
         assert_eq!(err, panicked("non-string panic payload"));
         // A build that fails without panicking passes its error through.
-        let err = contain(|| Err(panicked("returned"))).unwrap_err();
+        let err = contain::<()>(|| Err(panicked("returned"))).unwrap_err();
         assert_eq!(err, panicked("returned"));
     }
 
@@ -368,7 +472,8 @@ mod tests {
         // build that panicked would have left it.
         let poisoned = PibeConfig::lax(DefenseSet::RETPOLINES);
         let err = contain(|| panic!("pass panicked"));
-        farm.slot(&poisoned)
+        farm.images
+            .slot(&poisoned)
             .set(err.clone())
             .expect("slot was empty");
         let healthy = [
@@ -396,5 +501,76 @@ mod tests {
         assert_eq!(again, batch_err);
         assert_eq!(farm.stats().builds, builds_after_batch);
         assert_eq!(farm.stats().failed, 1);
+    }
+
+    #[test]
+    fn a_poisoned_prefix_fails_exactly_its_keys_images() {
+        let lax = |d| PibeConfig::lax(d);
+        let healthy = [
+            PibeConfig::lto(),
+            PibeConfig::lto_with(DefenseSet::ALL),
+            PibeConfig::full(Budget::P99, DefenseSet::ALL),
+            PibeConfig::full(Budget::P99, DefenseSet::LVI_CFI).with_dce(true),
+        ];
+        let poisoned = [
+            lax(DefenseSet::ALL),
+            lax(DefenseSet::RETPOLINES),
+            lax(DefenseSet::ALL).with_arch(pibe_harden::Arch::Arm64),
+            PibeConfig::pibe_baseline(),
+        ];
+        for threads in [1, 2, 4, 7] {
+            let farm = test_farm().with_threads(threads);
+            let err = contain(|| panic!("inliner panicked"));
+            farm.prefixes
+                .slot(&poisoned[0].optimization())
+                .set(err.clone())
+                .expect("prefix slot was empty");
+            let mut batch = healthy.to_vec();
+            batch.extend(poisoned);
+            let batch_err = farm.images(&batch).expect_err("poisoned key fails");
+            assert_eq!(batch_err, err.clone().unwrap_err(), "{threads} workers");
+            for cfg in &poisoned {
+                assert_eq!(farm.image(cfg).err(), err.clone().err(), "{cfg:?}");
+            }
+            for cfg in &healthy {
+                farm.image(cfg).expect("other keys build");
+            }
+            let s = farm.stats();
+            assert_eq!(
+                s.optimizations, 3,
+                "{threads} workers: the poisoned key never reruns"
+            );
+            assert_eq!((s.builds, s.failed), (8, 4), "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn aggregate_metrics_count_each_prefix_once() {
+        let farm = test_farm();
+        let configs = [
+            PibeConfig::lax(DefenseSet::ALL),
+            PibeConfig::lax(DefenseSet::RETPOLINES),
+            PibeConfig::pibe_baseline(),
+        ];
+        farm.prefetch(&configs).expect("prefetch");
+        assert_eq!(farm.stats().optimizations, 1);
+        let prefix = farm.optimized(&configs[0]).0.expect("prefix built");
+        let agg = farm.aggregate_metrics();
+        assert_eq!(agg.inline_ns, prefix.metrics.inline_ns, "inlined once");
+        let mut lowered = 0;
+        for cfg in &configs {
+            let image = farm.image(cfg).expect("built");
+            assert_eq!(image.metrics.inline_ns, 0, "images carry their lowering");
+            lowered += image.metrics.harden_ns;
+        }
+        assert_eq!(agg.harden_ns, lowered);
+        assert_eq!(
+            agg.total_ns,
+            prefix.metrics.total_ns
+                + configs
+                    .iter()
+                    .map(|c| farm.image(c).expect("built").metrics.total_ns)
+                    .sum::<u64>()
+        );
     }
 }

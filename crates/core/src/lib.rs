@@ -19,8 +19,9 @@
 //! * [`Image::builder`] is the staged entry point into the hardening phase
 //!   (`Image::builder(&base).profile(&profile).config(cfg).build()`);
 //! * [`ImageFarm`] builds images for whole configuration sets in parallel,
-//!   memoizing each distinct configuration so it is built exactly once per
-//!   lab; [`BuildMetrics`] records per-stage wall-clock costs;
+//!   running each distinct ICP → inline → DCE prefix once and lowering it
+//!   once per distinct configuration (arch and defense set) per lab;
+//!   [`BuildMetrics`] records per-stage wall-clock costs;
 //! * [`eval`] measures images against workloads (latency, throughput,
 //!   geometric-mean overhead);
 //! * [`experiments`] regenerates every table and figure in the paper's

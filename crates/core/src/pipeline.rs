@@ -17,11 +17,17 @@
 //! Keeping a service running past a failed build is the supervisor's job
 //! (the serve loop keeps its last-known-good image), not the pipeline's.
 //!
-//! The transform stages are rows of one table, `STAGES`; a single runner
-//! owns their timing, trace spans and verification.
+//! A build has two halves. `optimize` runs the arch-agnostic stages, the
+//! rows of `OPTIMIZE_STAGES` (ICP, inlining, DCE), which see only
+//! [`PibeConfig::optimization`]; `lower` hardens the result for one arch
+//! and defense set, audits and sizes it. [`ProfiledImageBuilder::build`] is
+//! one then the other; the [`ImageFarm`](crate::ImageFarm) runs `optimize`
+//! once per optimization key and lowers it for every configuration that
+//! shares the key. A single runner owns every stage's timing, trace span
+//! and verification.
 
 use crate::chaos::{ModuleCorruption, SemanticCorruption};
-use crate::config::PibeConfig;
+use crate::config::{Optimization, PibeConfig};
 use pibe_harden::{audit_backend, AuditError, DefenseBackend, HardenReport, SecurityAudit};
 use pibe_ir::{FuncId, Module, VerifyError};
 use pibe_passes::{
@@ -33,6 +39,7 @@ use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A production kernel image: the transformed module plus every statistic
@@ -70,6 +77,30 @@ impl Image {
     /// modified; the pipeline clones it.
     pub fn builder(base: &Module) -> ImageBuilder<'_> {
         ImageBuilder { base }
+    }
+
+    /// Whether `other` is the same build output: module (name and every
+    /// function, so also the printed IR), configuration, pass statistics,
+    /// DCE map, harden report, audit, size and repair report. Only the
+    /// timings may differ.
+    pub(crate) fn same_output(&self, other: &Image) -> bool {
+        self.config == other.config
+            && self.icp_stats == other.icp_stats
+            && self.inline_stats == other.inline_stats
+            && self.dce_stats == other.dce_stats
+            && self.dce_map == other.dce_map
+            && self.harden_report == other.harden_report
+            && self.audit == other.audit
+            && self.size == other.size
+            && self.repair == other.repair
+            && self.module.name() == other.module.name()
+            && self.module.len() == other.module.len()
+            && self
+                .module
+                .functions()
+                .iter()
+                .zip(other.module.functions())
+                .all(|(f, g)| Arc::ptr_eq(f, g) || f == g)
     }
 }
 
@@ -118,6 +149,16 @@ impl Stage {
             Stage::Inline => "inline",
             Stage::Dce => "dce",
             Stage::Harden => "harden",
+        }
+    }
+
+    /// The trace span the stage runs under.
+    fn span(self) -> &'static str {
+        match self {
+            Stage::Icp => "stage.icp",
+            Stage::Inline => "stage.inline",
+            Stage::Dce => "stage.dce",
+            Stage::Harden => "stage.harden",
         }
     }
 }
@@ -429,13 +470,13 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
         }
     }
 
-    /// Runs the hardening phase: validates (and, when dirty, repairs) the
-    /// profile against the base, clones and verifies the base, runs the
-    /// transform stages in order — indirect call promotion and the security
-    /// inliner per the configuration (ICP first, as in the paper),
-    /// dead-function elimination when enabled, then the defense transforms
-    /// — each with a post-stage verify — audits the result, and verifies
-    /// the final module.
+    /// Runs the hardening phase in its two halves. `optimize` validates
+    /// (and, when dirty, repairs) the profile against the base, clones and
+    /// verifies the base, then runs indirect call promotion and the
+    /// security inliner per the configuration (ICP first, as in the paper)
+    /// and dead-function elimination when enabled. `lower` then runs the
+    /// defense transforms, audits the result and verifies the final
+    /// module. Every transform stage is verified after it runs.
     ///
     /// # Errors
     /// * [`PipelineError::StageFailed`] — a stage produced invalid IR;
@@ -443,9 +484,6 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
     ///   failed structural verification.
     pub fn build(self) -> Result<Image, PipelineError> {
         let config = self.config;
-        let threads = self.threads;
-        let build_start = Instant::now();
-        let mut metrics = BuildMetrics::default();
         let _build_span = pibe_trace::span_args("pipeline.build", || {
             vec![
                 ("icp", pibe_trace::Value::from(config.icp.is_some())),
@@ -457,7 +495,19 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
                 ("arch", pibe_trace::Value::from(config.arch.name())),
             ]
         });
+        let image = self.lower(self.optimize()?)?;
+        pibe_trace::record_value("pipeline.build_us", image.metrics.total_ns / 1_000);
+        Ok(image)
+    }
 
+    /// The arch-agnostic first half of [`build`](Self::build): validate or
+    /// repair the profile, clone and verify the base, then ICP → inline →
+    /// DCE, each verified. The stages read only
+    /// [`PibeConfig::optimization`], so the result is the same for every
+    /// configuration that shares it.
+    pub(crate) fn optimize(&self) -> Result<Optimized, PipelineError> {
+        let start = Instant::now();
+        let mut metrics = BuildMetrics::default();
         let (profile, repair) = timed(&mut metrics.validate_ns, "stage.validate", || {
             self.validated_profile()
         });
@@ -465,36 +515,69 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
         // Input verification: reject corrupt bases before any pass touches
         // them, so a stage failure always implicates the stage.
         timed(&mut metrics.verify_ns, "stage.verify", || {
-            module.verify_threaded(threads)
+            module.verify_threaded(self.threads)
         })
         .map_err(PipelineError::InvalidModule)?;
 
-        let mut work = Work {
-            built: Built {
-                module,
-                icp_stats: None,
-                inline_stats: None,
-                dce_stats: None,
-                dce_map: None,
-                harden_report: HardenReport::default(),
-            },
+        let mut out = Optimized {
+            module,
+            icp_stats: None,
+            inline_stats: None,
+            dce_stats: None,
+            dce_map: None,
+            repair,
+            metrics: BuildMetrics::default(),
+        };
+        let mut inputs = Inputs {
             weights: SiteWeights::from_profile(&profile),
             profile: &profile,
-            threads,
+            threads: self.threads,
         };
-        for row in &STAGES {
-            self.run_stage(row, &mut work, (row.ns)(&mut metrics))?;
+        let optimization = self.config.optimization();
+        for row in &OPTIMIZE_STAGES {
+            self.run_stage(
+                row.stage,
+                (row.enabled)(&optimization),
+                (row.ns)(&mut metrics),
+                &mut out,
+                |out| (row.run)(out, &mut inputs, &optimization),
+            )?;
         }
-        let Built {
+        metrics.total_ns = start.elapsed().as_nanos() as u64;
+        out.metrics = metrics;
+        Ok(out)
+    }
+
+    /// The second half of [`build`](Self::build): harden `optimized` for
+    /// the configuration's arch and defenses, audit it, size it and verify
+    /// the final module. The image's metrics are `optimized`'s plus the
+    /// lowering's.
+    pub(crate) fn lower(&self, mut optimized: Optimized) -> Result<Image, PipelineError> {
+        let start = Instant::now();
+        let (config, threads) = (self.config, self.threads);
+        let backend = config.arch.backend();
+        let mut metrics = optimized.metrics;
+        let mut harden_report = HardenReport::default();
+        self.run_stage(
+            Stage::Harden,
+            true,
+            &mut metrics.harden_ns,
+            &mut optimized,
+            |out| {
+                harden_report =
+                    pibe_harden::apply(&mut out.module, backend, config.defenses, threads);
+            },
+        )?;
+        let Optimized {
             module,
             icp_stats,
             inline_stats,
             dce_stats,
             dce_map,
-            harden_report,
-        } = work.built;
+            repair,
+            metrics: _,
+        } = optimized;
 
-        let backend = config.arch.backend();
         let audit = timed(&mut metrics.audit_ns, "stage.audit", || {
             audit_backend(&module, backend, config.defenses)
         })
@@ -508,8 +591,7 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
         })
         .map_err(PipelineError::InvalidModule)?;
 
-        metrics.total_ns = build_start.elapsed().as_nanos() as u64;
-        pibe_trace::record_value("pipeline.build_us", metrics.total_ns / 1_000);
+        metrics.total_ns += start.elapsed().as_nanos() as u64;
         Ok(Image {
             module,
             config,
@@ -536,32 +618,29 @@ impl<'m, 'p> ProfiledImageBuilder<'m, 'p> {
         (Cow::Owned(fixed), Some(report))
     }
 
-    /// Runs one row of [`STAGES`]: the pass, the chaos hooks, and the
-    /// post-stage verify, which aborts the build with a typed
-    /// [`PipelineError::StageFailed`] on failure. The stage's time — its
-    /// verify included — goes to `ns`, and its verified output to the
-    /// observer.
+    /// Runs one transform stage under its trace span: when `enabled`, the
+    /// pass, the chaos hooks, and the post-stage verify, which aborts the
+    /// build with a typed [`PipelineError::StageFailed`] on failure. The
+    /// stage's time — its verify included — goes to `ns`, and its verified
+    /// output to the observer.
     fn run_stage(
         &self,
-        row: &StageRow,
-        work: &mut Work<'_>,
+        stage: Stage,
+        enabled: bool,
         ns: &mut u64,
+        out: &mut Optimized,
+        pass: impl FnOnce(&mut Optimized),
     ) -> Result<(), PipelineError> {
-        timed(ns, row.span, || {
-            if !(row.enabled)(&self.config) {
+        timed(ns, stage.span(), || {
+            if !enabled {
                 return Ok(());
             }
-            (row.run)(work, &self.config);
-            self.sabotage(row.stage, &mut work.built.module);
-            work.built
-                .module
-                .verify_threaded(work.threads)
-                .map_err(|error| PipelineError::StageFailed {
-                    stage: row.stage,
-                    error,
-                })?;
-            let built = &work.built;
-            self.notify(row.stage, &built.module, built.dce_map.as_ref());
+            pass(out);
+            self.sabotage(stage, &mut out.module);
+            out.module
+                .verify_threaded(self.threads)
+                .map_err(|error| PipelineError::StageFailed { stage, error })?;
+            self.notify(stage, &out.module, out.dce_map.as_ref());
             Ok(())
         })
     }
@@ -577,84 +656,81 @@ fn timed<T>(ns: &mut u64, span: &'static str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The state the transform stages thread through one build.
-struct Work<'p> {
-    built: Built,
+/// The output of [`ProfiledImageBuilder::optimize`]: the module after ICP,
+/// inlining and DCE, each pass's report, the profile repair report and the
+/// stage timings so far (`total_ns` is the optimization's wall-clock). It
+/// depends only on the base, the profile and [`PibeConfig::optimization`],
+/// so one `Optimized` lowers to every configuration that shares that key.
+#[derive(Debug, Clone)]
+pub(crate) struct Optimized {
+    pub(crate) module: Module,
+    pub(crate) icp_stats: Option<IcpStats>,
+    pub(crate) inline_stats: Option<InlinerStats>,
+    pub(crate) dce_stats: Option<DceStats>,
+    pub(crate) dce_map: Option<DceMap>,
+    pub(crate) repair: Option<ProfileRepair>,
+    pub(crate) metrics: BuildMetrics,
+}
+
+/// What the optimization stages read besides the module: the site weights
+/// (which ICP updates for the inliner), the validated profile and the
+/// stage thread count.
+struct Inputs<'p> {
     weights: SiteWeights,
     profile: &'p Profile,
     threads: usize,
 }
 
-/// What the stages have built so far: the module and each pass's report.
-struct Built {
-    module: Module,
-    icp_stats: Option<IcpStats>,
-    inline_stats: Option<InlinerStats>,
-    dce_stats: Option<DceStats>,
-    dce_map: Option<DceMap>,
-    harden_report: HardenReport,
-}
-
-/// One transform stage of [`STAGES`].
+/// One optimization stage of [`OPTIMIZE_STAGES`]. Its functions receive
+/// only the [`Optimization`] half of the configuration, so no optimization
+/// stage can read the arch or the defenses.
 struct StageRow {
     stage: Stage,
-    /// The trace span the stage runs under.
-    span: &'static str,
     /// The [`BuildMetrics`] field the stage's time goes to.
     ns: fn(&mut BuildMetrics) -> &mut u64,
     /// Whether the configuration runs the stage.
-    enabled: fn(&PibeConfig) -> bool,
-    /// The pass: rewrites the module and records its report in `built`.
-    run: fn(&mut Work<'_>, &PibeConfig),
+    enabled: fn(&Optimization) -> bool,
+    /// The pass: rewrites the module and records its report.
+    run: fn(&mut Optimized, &mut Inputs<'_>, &Optimization),
 }
 
-/// The transform stages in pipeline order (§4): promotion, inlining,
-/// dead-function elimination, then defenses on whatever remains.
-const STAGES: [StageRow; 4] = [
+/// The optimization stages in pipeline order (§4): promotion, inlining,
+/// then dead-function elimination. The defense transforms run on whatever
+/// remains, in [`ProfiledImageBuilder::lower`].
+const OPTIMIZE_STAGES: [StageRow; 3] = [
     StageRow {
         stage: Stage::Icp,
-        span: "stage.icp",
         ns: |m| &mut m.icp_ns,
-        enabled: |c| c.icp.is_some(),
-        run: |w, c| {
-            let icp = c.icp.as_ref().expect("enabled");
-            let b = &mut w.built;
-            b.icp_stats = Some(promote_indirect_calls(
-                &mut b.module,
-                &mut w.weights,
-                w.profile,
+        enabled: |o| o.icp.is_some(),
+        run: |out, inputs, o| {
+            let icp = o.icp.as_ref().expect("enabled");
+            out.icp_stats = Some(promote_indirect_calls(
+                &mut out.module,
+                &mut inputs.weights,
+                inputs.profile,
                 icp,
             ));
         },
     },
     StageRow {
         stage: Stage::Inline,
-        span: "stage.inline",
         ns: |m| &mut m.inline_ns,
-        enabled: |c| c.inliner.is_some(),
-        run: |w, c| {
-            let inl = c.inliner.as_ref().expect("enabled");
-            let b = &mut w.built;
-            b.inline_stats = Some(run_inliner(&mut b.module, &w.weights, w.profile, inl));
+        enabled: |o| o.inliner.is_some(),
+        run: |out, inputs, o| {
+            let inl = o.inliner.as_ref().expect("enabled");
+            out.inline_stats = Some(run_inliner(
+                &mut out.module,
+                &inputs.weights,
+                inputs.profile,
+                inl,
+            ));
         },
     },
     StageRow {
         stage: Stage::Dce,
-        span: "stage.dce",
         ns: |m| &mut m.dce_ns,
-        enabled: |c| c.dce,
+        enabled: |o| o.dce,
         run: run_dce,
-    },
-    StageRow {
-        stage: Stage::Harden,
-        span: "stage.harden",
-        ns: |m| &mut m.harden_ns,
-        enabled: |_| true,
-        run: |w, c| {
-            let b = &mut w.built;
-            b.harden_report =
-                pibe_harden::apply(&mut b.module, c.arch.backend(), c.defenses, w.threads);
-        },
     },
 ];
 
@@ -665,14 +741,14 @@ const STAGES: [StageRow; 4] = [
 /// named *can* be stripped, which is exactly the kind of assumption the
 /// differential oracle keeps honest. The pass rebuilds into a fresh module,
 /// which replaces the current one.
-fn run_dce(w: &mut Work<'_>, _config: &PibeConfig) {
-    let b = &mut w.built;
+fn run_dce(out: &mut Optimized, inputs: &mut Inputs<'_>, _optimization: &Optimization) {
     let (roots, taken) =
-        dce_roots(w.profile).unwrap_or_else(|| (b.module.func_ids().collect(), Vec::new()));
-    let (stripped, map, stats) = strip_unreachable_threaded(&b.module, &roots, &taken, w.threads);
-    b.module = stripped;
-    b.dce_stats = Some(stats);
-    b.dce_map = Some(map);
+        dce_roots(inputs.profile).unwrap_or_else(|| (out.module.func_ids().collect(), Vec::new()));
+    let (stripped, map, stats) =
+        strip_unreachable_threaded(&out.module, &roots, &taken, inputs.threads);
+    out.module = stripped;
+    out.dce_stats = Some(stats);
+    out.dce_map = Some(map);
 }
 
 /// Derives the DCE root and address-taken sets from the profile — the one

@@ -16,7 +16,7 @@ use pibe_ir::{Cond, FuncId, Inst, Module, Terminator};
 use serde::{Deserialize, Serialize};
 
 /// Old-id → new-id translation for a stripped module.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DceMap {
     forward: Vec<Option<FuncId>>,
 }

@@ -2,14 +2,18 @@
 //! images served by a multi-threaded [`ImageFarm`] have to be
 //! bit-identical to images built sequentially, and every distinct
 //! configuration must be built exactly once no matter how often — or how
-//! concurrently — it is requested.
+//! concurrently — it is requested. Configurations that differ only in arch
+//! and defenses share one optimized prefix, which the farm runs once and
+//! lowers per configuration; those images too must equal cold builds.
 
 use pibe::{Image, ImageFarm, PibeConfig};
-use pibe_harden::DefenseSet;
+use pibe_harden::{Arch, DefenseSet};
+use pibe_ir::Module;
 use pibe_kernel::measure::collect_profile;
 use pibe_kernel::workloads::{lmbench_suite, WorkloadSpec};
 use pibe_kernel::{Kernel, KernelSpec};
 use pibe_profile::{Budget, Profile};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 fn lab() -> (Kernel, Profile) {
@@ -123,4 +127,129 @@ fn farm_builds_each_distinct_config_exactly_once() {
     for (stage, ns) in metrics.stages() {
         assert!(ns > 0, "stage {stage} was never timed");
     }
+}
+
+/// Configurations sharing optimization keys across every arch and two
+/// defense sets, with DCE on and off: 4 keys, 32 configurations.
+fn shared_prefix_matrix() -> Vec<PibeConfig> {
+    let levels = [
+        PibeConfig::lto(),
+        PibeConfig::icp_only(Budget::P99, DefenseSet::NONE),
+        PibeConfig::pibe_baseline(),
+        PibeConfig::pibe_baseline().with_dce(true),
+    ];
+    let mut configs = Vec::new();
+    for level in levels {
+        for arch in Arch::ALL {
+            for defenses in [DefenseSet::ALL, DefenseSet::RETPOLINES] {
+                configs.push(PibeConfig {
+                    defenses,
+                    ..level.with_arch(arch)
+                });
+            }
+        }
+    }
+    configs
+}
+
+/// Whether two modules print the same IR. A module prints as its name and
+/// then each function on its own, so equal names and pairwise-equal
+/// functions (shared by `Arc`, or structurally equal) print the same.
+fn same_printed_ir(a: &Module, b: &Module) -> bool {
+    a.name() == b.name()
+        && a.len() == b.len()
+        && a.functions()
+            .iter()
+            .zip(b.functions())
+            .all(|(f, g)| Arc::ptr_eq(f, g) || f == g)
+}
+
+/// Asserts a farm image equals a cold build in everything but timings.
+fn assert_same_image(farm_image: &Image, cold: &Image, context: &str) {
+    let config = cold.config;
+    assert_eq!(farm_image.config, config, "{context}");
+    assert!(
+        same_printed_ir(&farm_image.module, &cold.module),
+        "{context}: printed IR diverges under {config:?}"
+    );
+    assert_eq!(farm_image.audit, cold.audit, "{context}: {config:?}");
+    assert_eq!(
+        farm_image.harden_report, cold.harden_report,
+        "{context}: {config:?}"
+    );
+    assert_eq!(farm_image.size, cold.size, "{context}: {config:?}");
+    assert_eq!(
+        farm_image.icp_stats, cold.icp_stats,
+        "{context}: {config:?}"
+    );
+    assert_eq!(
+        farm_image.inline_stats, cold.inline_stats,
+        "{context}: {config:?}"
+    );
+    assert_eq!(
+        farm_image.dce_stats, cold.dce_stats,
+        "{context}: {config:?}"
+    );
+    assert_eq!(farm_image.dce_map, cold.dce_map, "{context}: {config:?}");
+}
+
+/// Images lowered from a shared optimized prefix equal cold
+/// `Image::builder` builds at 1, 2, 4 and 7 workers, whether they arrive
+/// in one batch or one at a time, and the farm runs one optimization per
+/// distinct key.
+#[test]
+fn images_lowered_from_shared_prefixes_match_cold_builds() {
+    let (kernel, profile) = lab();
+    let configs = shared_prefix_matrix();
+    let keys = 4;
+    let cold: Vec<Image> = configs
+        .iter()
+        .map(|config| {
+            Image::builder(&kernel.module)
+                .profile(&profile)
+                .config(*config)
+                .build()
+                .expect("cold build succeeds")
+        })
+        .collect();
+    let distinct: HashSet<PibeConfig> = configs.iter().copied().collect();
+    assert_eq!(distinct.len(), configs.len());
+
+    for threads in [1, 2, 4, 7] {
+        let batch = ImageFarm::new(kernel.module.clone(), profile.clone()).with_threads(threads);
+        let images = batch.images(&configs).expect("matrix builds");
+        for (image, cold) in images.iter().zip(&cold) {
+            assert_same_image(image, cold, &format!("batch, {threads} workers"));
+        }
+        let stats = batch.stats();
+        assert_eq!(stats.optimizations, keys, "{threads} workers");
+        assert_eq!(stats.builds, configs.len() as u64, "{threads} workers");
+
+        // One request at a time, every key's later images lower from its
+        // memoized prefix.
+        let single = ImageFarm::new(kernel.module.clone(), profile.clone()).with_threads(threads);
+        for (config, cold) in configs.iter().zip(&cold) {
+            let image = single.image(config).expect("builds");
+            assert_same_image(&image, cold, &format!("single, {threads} workers"));
+        }
+        assert_eq!(single.stats().optimizations, keys, "{threads} workers");
+    }
+
+    // Harden rewrites only functions with jump tables, so two images of one
+    // key share nearly every function body.
+    let farm = ImageFarm::new(kernel.module.clone(), profile.clone());
+    let x86 = farm.image(&configs[16]).expect("builds");
+    let arm = farm.image(&configs[18]).expect("builds");
+    let shared = x86
+        .module
+        .functions()
+        .iter()
+        .zip(arm.module.functions())
+        .filter(|(a, b)| Arc::ptr_eq(a, b))
+        .count();
+    assert!(
+        shared * 10 > x86.module.len() * 9,
+        "{shared} of {} function bodies shared",
+        x86.module.len()
+    );
 }
